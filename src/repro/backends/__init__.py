@@ -1,112 +1,64 @@
-"""Pluggable simulation backends.
+"""The simulator's hot core as one bundle of component classes.
 
-A backend is one implementation of the simulator's hot core — event
-calendar, router grant/credit path, NIC, link timing and per-packet stats —
-behind the narrow :class:`~repro.backends.base.SimBackend` seam.  Two are
-built in:
-
-* ``reference`` — the canonical pure-Python components (the default, and
-  the correctness baseline everything else is differentially tested
-  against).
-* ``fast`` — the same algorithms with the per-event Python overhead
-  stripped out; bit-identical to the reference by contract.
-
-Selection is per-run via ``SimulationConfig.backend``, with an environment
-override (``REPRO_BACKEND``) that applies only when the config holds the
-default — so a CI matrix axis can flip the whole suite to ``fast`` without
-touching scenario hashes or stored results.
+:class:`SimBackend` names the five classes that implement the per-event hot
+core — the event calendar (:class:`~repro.core.engine.Simulator`), the
+router grant/credit path (:class:`~repro.network.router.Router`), the NIC
+injection/ejection path (:class:`~repro.network.nic.Nic`), the link timing
+model (:class:`~repro.network.link.Link`) and the per-packet statistics hooks
+(:class:`~repro.stats.collector.StatsCollector`).  There is one
+implementation, :data:`REFERENCE_BACKEND`; the bundle lets construction
+sites such as :class:`~repro.network.network.DragonflyNetwork` take the
+classes as one argument.  ``tests/test_sim_digests.py`` pins its output.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Dict, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Tuple, Type
 
-from repro.backends.base import SimBackend
+from repro.core.engine import Simulator
+from repro.network.link import Link
+from repro.network.nic import Nic
+from repro.network.router import Router
+from repro.stats.collector import StatsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SimulationConfig
 
-__all__ = [
-    "DEFAULT_BACKEND",
-    "ENV_BACKEND",
-    "SimBackend",
-    "active_backend",
-    "active_backend_name",
-    "backend_names",
-    "get_backend",
-    "resolve_backend",
-]
+__all__ = ["REFERENCE_BACKEND", "SimBackend", "active_backend", "backend_names"]
 
-#: The backend used when a config does not name one.
-DEFAULT_BACKEND = "reference"
 
-#: Environment variable that overrides the backend for default-backend runs.
-ENV_BACKEND = "REPRO_BACKEND"
+@dataclass(frozen=True)
+class SimBackend:
+    """The component classes of the simulation hot core."""
 
-#: Canonical backend names, in registry order.
-_BACKEND_NAMES: Tuple[str, ...] = ("reference", "fast")
+    name: str
+    simulator_cls: Type[Simulator]
+    router_cls: Type[Router]
+    nic_cls: Type[Nic]
+    link_cls: Type[Link]
+    stats_cls: Type[StatsCollector]
 
-_ALIASES: Dict[str, str] = {
-    "ref": "reference",
-    "baseline": "reference",
-    "python": "reference",
-    "optimized": "fast",
-}
+    def create_simulator(self, trace: bool = False) -> Simulator:
+        """Build this backend's event calendar."""
+        return self.simulator_cls(trace=trace)
 
-#: Resolved-name → instance cache (instances are built lazily so importing
-#: :mod:`repro.config` — which validates backend *names* — never pulls in
-#: the component modules and their heavier dependencies).
-_INSTANCES: Dict[str, SimBackend] = {}
+
+REFERENCE_BACKEND = SimBackend(
+    name="reference",
+    simulator_cls=Simulator,
+    router_cls=Router,
+    nic_cls=Nic,
+    link_cls=Link,
+    stats_cls=StatsCollector,
+)
 
 
 def backend_names() -> Tuple[str, ...]:
-    """Canonical names of every registered backend."""
-    return _BACKEND_NAMES
-
-
-def resolve_backend(name: str) -> str:
-    """Normalize ``name`` to a canonical backend name.
-
-    Raises ``ValueError`` naming the valid choices for unknown names; used
-    by ``SimulationConfig`` so a typo fails at construction, not mid-run.
-    """
-    canonical = name.strip().lower()
-    canonical = _ALIASES.get(canonical, canonical)
-    if canonical not in _BACKEND_NAMES:
-        valid = ", ".join(_BACKEND_NAMES)
-        raise ValueError(f"unknown simulation backend {name!r}; valid backends: {valid}")
-    return canonical
-
-
-def get_backend(name: str) -> SimBackend:
-    """The :class:`SimBackend` instance registered under ``name``."""
-    canonical = resolve_backend(name)
-    backend = _INSTANCES.get(canonical)
-    if backend is None:
-        if canonical == "reference":
-            from repro.backends.reference import REFERENCE_BACKEND as backend
-        else:
-            from repro.backends.fast import FAST_BACKEND as backend
-        _INSTANCES[canonical] = backend
-    return backend
-
-
-def active_backend_name(config: "SimulationConfig") -> str:
-    """The backend name ``config`` selects, after the environment override.
-
-    ``REPRO_BACKEND`` applies only when the config holds the default — an
-    explicit ``backend=`` in a scenario always wins, so the override is a
-    pure execution-strategy knob that can never change what a stored or
-    hashed scenario *means*.
-    """
-    if config.backend == DEFAULT_BACKEND:
-        override = os.environ.get(ENV_BACKEND)
-        if override:
-            return resolve_backend(override)
-    return config.backend
+    """Names of every available backend."""
+    return (REFERENCE_BACKEND.name,)
 
 
 def active_backend(config: "SimulationConfig") -> SimBackend:
-    """The :class:`SimBackend` instance ``config`` selects (env-aware)."""
-    return get_backend(active_backend_name(config))
+    """The backend that runs ``config``: always :data:`REFERENCE_BACKEND`."""
+    return REFERENCE_BACKEND

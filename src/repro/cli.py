@@ -468,8 +468,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             print(
                 f"error: {'/'.join(steady_flags)} requires --scenario "
                 "(workload grids describe fixed-length packet-level standalone "
-                "runs that start at t=0; the REPRO_FIDELITY environment "
-                "variable re-fidelities them wholesale)",
+                "runs that start at t=0)",
                 file=sys.stderr,
             )
             return 2

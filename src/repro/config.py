@@ -255,36 +255,20 @@ class SimulationConfig:
     #: workloads require.  ``None`` = run to completion as before.
     measurement_ns: Optional[float] = None
 
-    #: Simulation backend: which implementation of the hot core executes the
-    #: run (``"reference"`` or ``"fast"``; see :mod:`repro.backends`).  All
-    #: backends are bit-equivalent by contract, so this is an execution
-    #: strategy, not part of the experiment's meaning — scenarios serialize
-    #: and hash it only when non-default.
-    backend: str = "reference"
-
     #: Simulation fidelity: how faithfully the network is modelled.
     #: ``"packet"`` (default) is the flit-timed packet-level simulation the
     #: paper's results use; ``"flow"`` models messages as fluid flows with
     #: max-min fair-share link bandwidth (see :mod:`repro.flow`), trading
-    #: per-packet detail for orders-of-magnitude scale.  Unlike ``backend``,
-    #: fidelities are *not* bit-equivalent — flow-level results are
-    #: approximations cross-validated against packet-level ones — but the
-    #: default is still hashed/serialized only when non-default, so existing
+    #: per-packet detail for orders-of-magnitude scale.  Flow-level results
+    #: are approximations cross-validated against packet-level ones.  The
+    #: fidelity is hashed/serialized only when non-default, so existing
     #: scenario hashes are untouched.
     fidelity: str = "packet"
 
     def __post_init__(self) -> None:
-        # Validate (and canonicalize) the backend name at construction time,
+        # Validate (and canonicalize) the fidelity name at construction time,
         # mirroring RoutingConfig.algorithm: a typo fails right here naming
-        # the `backend` field and the valid choices, not deep inside a run.
-        # Deferred import: repro.backends type-checks against modules that
-        # import this one.
-        from repro.backends import resolve_backend
-
-        try:
-            object.__setattr__(self, "backend", resolve_backend(self.backend))
-        except ValueError as exc:
-            raise ValueError(f"SimulationConfig.backend: {exc}") from None
+        # the field and the valid choices, not deep inside a run.
         from repro.flow import resolve_fidelity
 
         try:
@@ -346,10 +330,6 @@ class SimulationConfig:
     def with_seed(self, seed: int) -> "SimulationConfig":
         """Return a copy with a different master seed."""
         return replace(self, seed=seed)
-
-    def with_backend(self, backend: str) -> "SimulationConfig":
-        """Return a copy pinned to a specific simulation backend."""
-        return replace(self, backend=backend)
 
     def with_fidelity(self, fidelity: str) -> "SimulationConfig":
         """Return a copy pinned to a specific simulation fidelity."""

@@ -12,7 +12,7 @@ within a benchmark suite, so every experiment is defined twice:
   Table I (who is burstier than whom) are preserved while each run finishes
   in seconds.
 
-See DESIGN.md ("Substitutions") and EXPERIMENTS.md for the mapping.
+docs/architecture.md ("Scale knobs") summarizes the two scales.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ class AppSpec:
 #: Slingshot-class links with GB-scale per-application volumes; the benchmark
 #: volumes are ~1000x smaller, so the link speed is reduced to keep the
 #: *offered load relative to capacity* — and therefore the contention the
-#: routing algorithms must resolve — in the same regime (see EXPERIMENTS.md).
+#: routing algorithms must resolve — in the same regime.
 BENCH_LINK_BANDWIDTH_GBPS = 50.0
 
 

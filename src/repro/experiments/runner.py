@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Iterator
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from repro.backends import active_backend
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
 from repro.experiments.configs import AppSpec
-from repro.flow import DEFAULT_FIDELITY, active_fidelity_name
+from repro.flow import DEFAULT_FIDELITY
 from repro.mpi.engine import MpiEngine, MpiJob
 from repro.network.network import DragonflyNetwork
 from repro.placement import Placement, create_placement
@@ -38,11 +37,9 @@ __all__ = ["RunResult", "run_standalone", "run_workloads"]
 class RunResult:
     """Everything produced by one simulation run.
 
-    ``fidelity`` records the fidelity that actually executed — it may differ
-    from ``config.fidelity`` when the ``REPRO_FIDELITY`` environment
-    override applied (see :mod:`repro.flow`).  At flow fidelity ``network``
-    is a :class:`repro.flow.network.FlowNetwork` and ``stats`` a
-    :class:`repro.flow.stats.FlowStats` (same engine-facing surface).
+    At flow fidelity ``network`` is a :class:`repro.flow.network.FlowNetwork`
+    and ``stats`` a :class:`repro.flow.stats.FlowStats` (same engine-facing
+    surface).
     """
 
     config: SimulationConfig
@@ -54,8 +51,12 @@ class RunResult:
     placements: Dict[str, List[int]]
     wall_seconds: float
     completed: bool = True
-    fidelity: str = DEFAULT_FIDELITY
     extras: dict = field(default_factory=dict)
+
+    @property
+    def fidelity(self) -> str:
+        """Fidelity the run executed at: always ``config.fidelity``."""
+        return self.config.fidelity
 
     @property
     def stats(self) -> StatsCollector:
@@ -158,15 +159,12 @@ def _execute(
         raise ValueError(f"duplicate job names in {names}; give co-runs distinct names")
 
     started = time.perf_counter()
-    fidelity = active_fidelity_name(config)
-    backend = active_backend(config)
-    sim = backend.create_simulator()
-    if fidelity == DEFAULT_FIDELITY:
-        network = DragonflyNetwork(sim, config, backend=backend)
+    sim = Simulator()
+    if config.fidelity == DEFAULT_FIDELITY:
+        network = DragonflyNetwork(sim, config)
     else:
         # Flow fidelity: same topology, same MPI layer, fluid flows instead
-        # of packets (see repro.flow).  The backend seam only concerns the
-        # packet-level hot core, so only its simulator is reused here.
+        # of packets (see repro.flow).
         from repro.flow.network import FlowNetwork
 
         network = FlowNetwork(sim, config)  # type: ignore[assignment]
@@ -226,7 +224,6 @@ def _execute(
         placements=placements,
         wall_seconds=wall,
         completed=completed,
-        fidelity=fidelity,
     )
 
 

@@ -96,10 +96,6 @@ _SIM_KNOBS: Tuple[str, ...] = tuple(
 _OPTIONAL_SIM_KNOBS: Dict[str, object] = {
     "warmup_ns": 0.0,
     "measurement_ns": None,
-    # Hash neutrality: the backend is an execution strategy, bit-equivalent
-    # by contract (tests/test_backend_equivalence.py), so a default-backend
-    # scenario serializes without it and every golden hash is unchanged.
-    "backend": "reference",
     # Hash neutrality: fidelity DOES change the numbers (flow-level results
     # are approximations, see docs/fidelity.md), so a non-default fidelity is
     # hashed as part of the scenario description — but the default is omitted

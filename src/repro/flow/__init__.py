@@ -16,53 +16,27 @@ per-run by ``SimulationConfig.fidelity``:
   flow results are approximations cross-validated against packet-level
   ones, traded for orders-of-magnitude scale (100k+ endpoints in seconds).
 
-Selection follows the :mod:`repro.backends` playbook exactly:
-
-* ``resolve_fidelity`` validates/canonicalizes a name (used by
-  ``SimulationConfig.__post_init__`` so typos fail at configuration time);
-* ``active_fidelity_name`` resolves the fidelity of a run, honoring the
-  ``REPRO_FIDELITY`` environment override **only when the config carries
-  the default** — a scenario that pins ``fidelity="flow"`` explicitly is
-  never overridden, and the default is never serialized or hashed, so all
-  pre-existing scenario hashes are byte-identical (see docs/fidelity.md).
-
-Unlike backends, fidelities are **not** bit-equivalent: ``"flow"`` changes
-the numbers, not just the execution strategy.  That is why the fidelity is
-part of the scenario description (hashed when non-default) instead of a
-pure execution knob.
+``resolve_fidelity`` validates and canonicalizes a name (used by
+``SimulationConfig.__post_init__`` so typos fail at configuration time).  A
+run executes at exactly ``config.fidelity``.  Fidelities are **not**
+bit-equivalent: ``"flow"`` changes the numbers, so the fidelity is part of
+the scenario description (hashed when non-default; the default is never
+serialized, so every pre-existing scenario hash is byte-identical — see
+docs/fidelity.md).
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import SimulationConfig
-
-__all__ = [
-    "DEFAULT_FIDELITY",
-    "ENV_FIDELITY",
-    "FLOW_FIDELITY",
-    "active_fidelity_name",
-    "fidelity_names",
-    "resolve_fidelity",
-]
+__all__ = ["DEFAULT_FIDELITY", "FLOW_FIDELITY", "fidelity_names", "resolve_fidelity"]
 
 #: The fidelity every run uses unless told otherwise.
 DEFAULT_FIDELITY = "packet"
 #: The flow-level fidelity name.
 FLOW_FIDELITY = "flow"
-#: Environment variable overriding the fidelity of default-fidelity configs.
-ENV_FIDELITY = "REPRO_FIDELITY"
 
 _FIDELITY_NAMES: Tuple[str, ...] = (DEFAULT_FIDELITY, FLOW_FIDELITY)
-_ALIASES = {
-    "pkt": DEFAULT_FIDELITY,
-    "packets": DEFAULT_FIDELITY,
-    "fluid": FLOW_FIDELITY,
-    "flows": FLOW_FIDELITY,
-}
 
 
 def fidelity_names() -> Tuple[str, ...]:
@@ -71,14 +45,13 @@ def fidelity_names() -> Tuple[str, ...]:
 
 
 def resolve_fidelity(name: str) -> str:
-    """Canonical fidelity name for ``name`` (case/alias tolerant).
+    """Canonical fidelity name for ``name`` (case-insensitive).
 
     Raises ``ValueError`` naming the valid fidelities on an unknown name —
     the error ``SimulationConfig.__post_init__`` re-raises with field
     context, so a typo fails at configuration time.
     """
     canonical = str(name).strip().lower()
-    canonical = _ALIASES.get(canonical, canonical)
     if canonical not in _FIDELITY_NAMES:
         raise ValueError(
             f"unknown simulation fidelity {name!r}; "
@@ -86,18 +59,3 @@ def resolve_fidelity(name: str) -> str:
         )
     return canonical
 
-
-def active_fidelity_name(config: "SimulationConfig") -> str:
-    """Fidelity that will actually execute ``config``.
-
-    The ``REPRO_FIDELITY`` environment override applies **only** when the
-    config carries the default fidelity: an explicit ``fidelity="flow"``
-    describes the experiment itself and is never overridden.  Since the
-    default is never serialized/hashed, the override can only ever
-    re-fidelity runs whose description says nothing about fidelity.
-    """
-    if config.fidelity == DEFAULT_FIDELITY:
-        env = os.environ.get(ENV_FIDELITY, "").strip()
-        if env:
-            return resolve_fidelity(env)
-    return config.fidelity

@@ -10,11 +10,10 @@ MPI layer (and tests) use it through two calls:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.backends import SimBackend, active_backend
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
 from repro.core.rng import RngRegistry
@@ -25,6 +24,9 @@ from repro.network.router import Router
 from repro.network.topology import DragonflyTopology, PortKind
 from repro.stats.collector import StatsCollector
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends import SimBackend
+
 __all__ = ["DragonflyNetwork"]
 
 
@@ -32,9 +34,8 @@ class DragonflyNetwork:
     """A fully-wired Dragonfly system ready to carry messages.
 
     The hot-core component classes (routers, NICs, links, stats) come from
-    the run's :class:`~repro.backends.SimBackend` — resolved from
-    ``config.backend`` unless an explicit ``backend`` is passed — so the
-    same assembly code builds every backend.
+    ``backend`` (a :class:`~repro.backends.SimBackend`), which defaults to
+    :data:`~repro.backends.REFERENCE_BACKEND`.
     """
 
     def __init__(
@@ -45,9 +46,15 @@ class DragonflyNetwork:
         rng: Optional[RngRegistry] = None,
         backend: Optional[SimBackend] = None,
     ):
+        if backend is None:
+            # repro.backends imports this package's components, so it can
+            # only be imported once they are loaded.
+            from repro.backends import REFERENCE_BACKEND
+
+            backend = REFERENCE_BACKEND
         self.sim = sim
         self.config = config
-        self.backend = backend if backend is not None else active_backend(config)
+        self.backend = backend
         self.topology = DragonflyTopology(config.system)
         self.rng = rng if rng is not None else RngRegistry(config.seed)
         self.stats = stats if stats is not None else self.backend.stats_cls(sim, config)

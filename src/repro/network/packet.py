@@ -3,7 +3,7 @@
 The MPI layer hands :class:`Message` objects to the NIC, which segments them
 into :class:`Packet` objects.  Packets are the unit of simulation: they carry
 flit counts so links can compute flit-accurate serialization times, but
-individual flits are not simulated as events (see DESIGN.md, substitution 1).
+individual flits are not simulated as events.
 """
 
 from __future__ import annotations

@@ -1,12 +1,4 @@
-"""Regression tests for the benchmark-suite session plumbing.
-
-The benchmark conftest memoizes runs by scenario hash — but the scenario
-hash deliberately ignores the default backend (hash neutrality) and never
-sees the ``REPRO_BACKEND`` override.  These tests pin the fix: the memo key
-must include the *resolved* backend, so the backend-comparison driver's
-reference and fast executions both actually happen instead of the second
-one silently returning the first's memoized result.
-"""
+"""Tests of the benchmark-suite session plumbing (``benchmarks/conftest.py``)."""
 
 from __future__ import annotations
 
@@ -14,13 +6,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.backends import ENV_BACKEND
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
-from repro.experiments.scenario import Scenario
-from repro.results import flatten_run
+from repro.experiments.scenario import Scenario, scenario_hash
 
 _BENCH_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
 
@@ -38,63 +26,28 @@ def _load_bench_conftest(tmp_path, monkeypatch):
     return module
 
 
-def _tiny_bench_scenario() -> Scenario:
-    return Scenario(
+def test_run_scenario_memoizes_by_scenario_hash_and_records(tmp_path, monkeypatch):
+    bench = _load_bench_conftest(tmp_path, monkeypatch)
+    scenario = Scenario(
         name="bench-memo/ur",
         jobs=(AppSpec("UR", 6, {"scale": 0.2}),),
         config=SimulationConfig(system=tiny_system(), seed=3).with_routing("par"),
     )
+    first = bench.run_scenario(scenario)
+    assert bench.run_scenario(scenario) is first
+    assert list(bench._RUNS) == [scenario_hash(scenario)]
+    assert bench.bench_store().get(scenario) is not None
 
 
-def test_run_scenario_memo_is_keyed_by_resolved_backend(tmp_path, monkeypatch):
-    bench = _load_bench_conftest(tmp_path, monkeypatch)
-    scenario = _tiny_bench_scenario()
-
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    reference = bench.run_scenario(scenario)
-    assert bench.run_scenario(scenario) is reference  # same backend: memo hit
-
-    monkeypatch.setenv(ENV_BACKEND, "fast")
-    fast = bench.run_scenario(scenario)
-    assert fast is not reference, (
-        "the env-selected fast run was conflated with the memoized reference "
-        "run — the memo key must include the resolved backend"
-    )
-    assert len(bench._RUNS) == 2
-    assert {key.split(":", 1)[0] for key in bench._RUNS} == {"reference", "fast"}
-    # Both executions really ran, and (the backend contract) agree exactly.
-    assert flatten_run(fast) == flatten_run(reference)
-
-
-def test_explicit_config_backend_also_splits_the_memo(tmp_path, monkeypatch):
-    """A non-default ``config.backend`` changes the scenario hash itself, so
-    the memo naturally splits; pin that the resolved-backend prefix agrees."""
-    bench = _load_bench_conftest(tmp_path, monkeypatch)
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    scenario = _tiny_bench_scenario()
-    pinned = Scenario(
-        name=scenario.name,
-        jobs=scenario.jobs,
-        config=scenario.config.with_backend("fast"),
-    )
-    bench.run_scenario(scenario)
-    bench.run_scenario(pinned)
-    assert sorted(key.split(":", 1)[0] for key in bench._RUNS) == ["fast", "reference"]
-
-
-def test_backend_comparison_rows_land_in_bench_summary(tmp_path, monkeypatch):
+def test_fidelity_comparison_rows_land_in_bench_summary(tmp_path, monkeypatch):
     bench = _load_bench_conftest(tmp_path, monkeypatch)
     summary_path = tmp_path / "BENCH.json"
     bench._SUMMARY_PATH = str(summary_path)
-    bench._DRIVER_TIMES["test_backend_comparison"] = {
+    bench._DRIVER_TIMES["test_fidelity_comparison"] = {
         "tests": 1, "passed": 1, "wall_seconds": 1.0,
     }
-    bench.record_backend_comparison(
-        "loadcurve/shift@0.7",
-        {"reference_wall_seconds": 2.0, "fast_wall_seconds": 1.0,
-         "speedup": 2.0, "match": True},
-    )
+    bench.record_fidelity_comparison("table1/FFT3D", {"makespan_rel_err": 0.05})
     bench.pytest_sessionfinish(session=None, exitstatus=0)
     summary = json.loads(summary_path.read_text())
-    row = summary["backend_comparison"]["loadcurve/shift@0.7"]
-    assert row["speedup"] == 2.0 and row["match"] is True
+    assert summary["fidelity_comparison"]["table1/FFT3D"] == {"makespan_rel_err": 0.05}
+    assert "backend_comparison" not in summary

@@ -2,9 +2,10 @@
 
 Three layers:
 
-* **selection** — ``resolve_fidelity``/``active_fidelity_name`` semantics,
-  config validation, and the hash-neutrality contract (the default fidelity
-  is never serialized, so every pre-existing scenario hash is unchanged);
+* **selection** — ``resolve_fidelity`` semantics, config validation, the
+  hash-neutrality contract (the default fidelity is never serialized, so
+  every pre-existing scenario hash is unchanged) and the guarantee that the
+  environment cannot change which fidelity a scenario runs at;
 * **solver** — max-min fair rates on hand-checkable configurations of
   :class:`repro.flow.network.FlowNetwork` (single flow, shared bottleneck,
   staggered arrival re-rating);
@@ -17,30 +18,21 @@ Three layers:
 
 import pytest
 
+from repro.cli import main
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import (
     Scenario,
+    dump_scenarios,
     expand_grid,
     loadcurve_scenario,
     scenario_hash,
 )
-from repro.flow import (
-    DEFAULT_FIDELITY,
-    ENV_FIDELITY,
-    FLOW_FIDELITY,
-    active_fidelity_name,
-    fidelity_names,
-    resolve_fidelity,
-)
+from repro.core.engine import Simulator
+from repro.flow import DEFAULT_FIDELITY, FLOW_FIDELITY, fidelity_names, resolve_fidelity
 from repro.flow.network import FlowNetwork
 from repro.network.packet import Message
-
-
-@pytest.fixture(autouse=True)
-def _no_fidelity_override(monkeypatch):
-    """Each test exercises exactly the fidelity it names (clear CI override)."""
-    monkeypatch.delenv(ENV_FIDELITY, raising=False)
+from repro.results import ResultStore, flatten_run
 
 
 def _tiny_scenario(fidelity=None, **config_overrides) -> Scenario:
@@ -55,36 +47,41 @@ def _tiny_scenario(fidelity=None, **config_overrides) -> Scenario:
 
 
 # ------------------------------------------------------------------ selection
-def test_resolve_fidelity_canonicalizes_names_and_aliases():
+def test_resolve_fidelity_canonicalizes_names():
     assert fidelity_names() == (DEFAULT_FIDELITY, FLOW_FIDELITY)
-    for alias in ("packet", "PACKET", " pkt ", "packets"):
-        assert resolve_fidelity(alias) == "packet"
-    for alias in ("flow", "Flow", "fluid", "flows"):
-        assert resolve_fidelity(alias) == "flow"
-    with pytest.raises(ValueError, match="valid fidelities: packet, flow"):
-        resolve_fidelity("packte")
+    for name in ("packet", "PACKET", " packet "):
+        assert resolve_fidelity(name) == "packet"
+    for name in ("flow", "Flow"):
+        assert resolve_fidelity(name) == "flow"
+    for unknown in ("packte", "pkt", "fluid"):
+        with pytest.raises(ValueError, match="valid fidelities: packet, flow"):
+            resolve_fidelity(unknown)
 
 
 def test_config_validates_fidelity_at_construction():
-    config = SimulationConfig(system=tiny_system(), fidelity="FLOWS")
+    config = SimulationConfig(system=tiny_system(), fidelity="FLOW")
     assert config.fidelity == "flow"  # canonicalized
     with pytest.raises(ValueError, match="SimulationConfig.fidelity"):
         SimulationConfig(system=tiny_system(), fidelity="hybrid")
 
 
-def test_env_override_applies_only_to_default_fidelity(monkeypatch):
-    default = SimulationConfig(system=tiny_system())
-    pinned = default.with_fidelity("flow")
-    assert active_fidelity_name(default) == "packet"
-    assert active_fidelity_name(pinned) == "flow"
-    monkeypatch.setenv(ENV_FIDELITY, "flow")
-    assert active_fidelity_name(default) == "flow"
-    # An explicitly pinned fidelity describes the experiment: never overridden.
-    monkeypatch.setenv(ENV_FIDELITY, "packet")
-    assert active_fidelity_name(pinned) == "flow"
-    monkeypatch.setenv(ENV_FIDELITY, "nonsense")
-    with pytest.raises(ValueError):
-        active_fidelity_name(default)
+def test_environment_cannot_refidelity_a_stored_run(tmp_path, monkeypatch):
+    """A ``REPRO_<KNOB>`` environment override of a knob the scenario hash
+    omits at its default would run a packet scenario at flow fidelity, and
+    the store would file the flow metrics under the packet scenario's hash.
+    Such variables are inert: what is stored is the packet run."""
+    scenario = _tiny_scenario()
+    expected = flatten_run(scenario.run())
+    for knob, value in (("fidelity", "flow"), ("backend", "fast")):
+        monkeypatch.setenv(f"REPRO_{knob.upper()}", value)
+    result = scenario.run()
+    assert result.fidelity == result.config.fidelity == "packet"
+    with ResultStore(tmp_path / "runs.sqlite") as store:
+        store.record_run(scenario, result)
+        stored = store.get(scenario)
+    assert stored is not None and stored.fidelity() == "packet"
+    assert "packets_ejected" in stored.metrics
+    assert stored.metrics["makespan_ns"] == expected["makespan_ns"]
 
 
 def test_default_fidelity_is_never_serialized_or_hashed():
@@ -110,16 +107,49 @@ def test_expand_grid_sweeps_the_fidelity_axis():
     assert scenario_hash(grid[0]) == scenario_hash(_tiny_scenario())
 
 
+def test_cli_run_fidelity_flow_files_the_run_under_the_flow_scenario(tmp_path, capsys):
+    """``run --fidelity flow`` is the explicit way to run a scenario at flow
+    fidelity: the stored run is keyed by the flow scenario, never by the
+    packet scenario it was derived from."""
+    path = tmp_path / "ur.json"
+    dump_scenarios(path, [_tiny_scenario()])
+    store_path = tmp_path / "runs.sqlite"
+    assert main(["run", str(path), "--fidelity", "flow", "--store", str(store_path)]) == 0
+    capsys.readouterr()
+    with ResultStore(store_path) as store:
+        assert store.get(_tiny_scenario()) is None
+        stored = store.get(_tiny_scenario(fidelity="flow"))
+        assert len(store) == 1
+    assert stored is not None and stored.fidelity() == "flow"
+    assert "packets_ejected" not in stored.metrics
+
+
+def test_cli_sweep_fidelities_stores_one_run_per_fidelity(tmp_path, capsys):
+    path = tmp_path / "ur.json"
+    dump_scenarios(path, [_tiny_scenario()])
+    store_path = tmp_path / "runs.sqlite"
+    assert main(
+        ["sweep", "--scenario", str(path), "--fidelities", "packet", "flow",
+         "--workers", "1", "--store", str(store_path)]
+    ) == 0
+    capsys.readouterr()
+    with ResultStore(store_path) as store:
+        packet = store.get(_tiny_scenario())
+        flow = store.runs(fidelity="flow")
+    assert packet is not None and packet.fidelity() == "packet"
+    assert "packets_ejected" in packet.metrics
+    assert [run.name for run in flow] == ["flowtest/UR[fidelity=flow]"]
+    assert "packets_ejected" not in flow[0].metrics
+
+
 # ------------------------------------------------------------------ solver
 def _flow_network(routing="minimal", seed=3):
-    from repro.backends import get_backend
-
     config = (
         SimulationConfig(system=tiny_system(), seed=seed)
         .with_routing(routing)
         .with_fidelity("flow")
     )
-    sim = get_backend("reference").create_simulator()
+    sim = Simulator()
     network = FlowNetwork(sim, config)
     return sim, network
 
@@ -215,8 +245,6 @@ def test_every_routing_algorithm_completes_at_flow_fidelity(routing):
 
 def test_flow_run_result_and_metrics_schema():
     result = _tiny_scenario(fidelity="flow").run()
-    from repro.results import flatten_run
-
     metrics = flatten_run(result)
     # Packet-only keys are omitted, not faked.
     for absent in ("packets_injected", "packets_ejected", "total_port_stall_ns"):
@@ -226,14 +254,6 @@ def test_flow_run_result_and_metrics_schema():
     assert metrics["makespan_ns"] > 0
     assert metrics["bytes_ejected"] > 0
     assert metrics["comm_time_ns/UR"] >= 0
-
-
-def test_env_override_refidelities_a_default_config_run(monkeypatch):
-    monkeypatch.setenv(ENV_FIDELITY, "flow")
-    result = _tiny_scenario().run()
-    assert result.fidelity == "flow"
-    assert result.config.fidelity == "packet"  # the description is unchanged
-    assert type(result.network).__name__ == "FlowNetwork"
 
 
 # ----------------------------------------------------------- cross-validation
@@ -256,8 +276,6 @@ def _both_fidelities(scenario: Scenario):
 @pytest.mark.parametrize("app", ["FFT3D", "Halo3D", "LU"])
 def test_cross_validation_volumes_exact_and_makespan_close(app):
     """Table I apps: identical communication volumes, agreeing makespans."""
-    from repro.results import flatten_run
-
     scenario = Scenario(
         name=f"xval/{app}",
         jobs=(AppSpec(app, 8, {"scale": 0.1}),),
@@ -276,8 +294,6 @@ def test_cross_validation_volumes_exact_and_makespan_close(app):
 
 def test_cross_validation_loadcurve_throughput_and_latency_trend():
     """Steady-state points: accepted throughput agrees; latency rises with load."""
-    from repro.results import flatten_run
-
     config = SimulationConfig(
         system=tiny_system(), seed=2, warmup_ns=5_000.0, measurement_ns=40_000.0
     ).with_routing("minimal")
@@ -308,8 +324,6 @@ def test_cross_validation_loadcurve_throughput_and_latency_trend():
 def test_flow_fidelity_is_deterministic():
     first = _tiny_scenario(fidelity="flow").run()
     second = _tiny_scenario(fidelity="flow").run()
-    from repro.results import flatten_run
-
     assert flatten_run(first) == flatten_run(second)
 
 
@@ -323,7 +337,6 @@ def test_report_fidelity_filter_disambiguates_mixed_stores(tmp_path):
     """
     from repro.analysis.reports import build_report
     from repro.experiments.scenario import table1_scenario
-    from repro.results import ResultStore
 
     packet = table1_scenario("FFT3D", scale=0.1)
     flow = packet.with_updates(name=f"{packet.name}[fidelity=flow]", fidelity="flow")

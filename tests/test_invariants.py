@@ -21,8 +21,8 @@ import random
 
 import pytest
 
-from repro.backends import ENV_BACKEND, backend_names, get_backend
 from repro.config import SimulationConfig, tiny_system
+from repro.core.engine import Simulator
 from repro.mpi.engine import MpiEngine
 from repro.network.network import DragonflyNetwork
 from repro.placement import create_placement
@@ -51,18 +51,7 @@ WORKLOAD_POOL = [
 
 #: Scenarios per routing algorithm.  Keep small: each cell builds and runs a
 #: full (tiny) simulator stack.
-SCENARIOS_PER_ALGORITHM = 3
-
-
-@pytest.fixture(params=backend_names())
-def backend(request, monkeypatch):
-    """Backend axis: every invariant must hold under every backend.
-
-    The CI ``REPRO_BACKEND`` override is cleared so each parametrization
-    exercises exactly the backend it names.
-    """
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    return request.param
+SCENARIOS_PER_ALGORITHM = 6
 
 
 def _random_jobs(rng: random.Random):
@@ -81,15 +70,14 @@ def _random_jobs(rng: random.Random):
     return jobs
 
 
-def _run(algorithm: str, case_seed: int, backend: str = "reference"):
+def _run(algorithm: str, case_seed: int):
     """Build one randomized scenario and run it to completion."""
     rng = random.Random(0xD43F ^ case_seed)
     config = SimulationConfig(system=tiny_system(), seed=rng.randint(1, 50)).with_routing(
         algorithm
     )
-    sim_backend = get_backend(backend)
-    sim = sim_backend.create_simulator(trace=True)
-    network = DragonflyNetwork(sim, config, backend=sim_backend)
+    sim = Simulator(trace=True)
+    network = DragonflyNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)
     policy = create_placement(rng.choice(["random", "contiguous"]))
@@ -111,8 +99,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("algorithm,case", CASES, ids=[f"{a}-{c}" for a, c in CASES])
-def test_invariants_hold_for_randomized_scenarios(algorithm, case, backend):
-    sim, network, engine = _run(algorithm, case, backend)
+def test_invariants_hold_for_randomized_scenarios(algorithm, case):
+    sim, network, engine = _run(algorithm, case)
     stats = network.stats
 
     # --- packet conservation: injected == delivered exactly once, drained.
@@ -158,20 +146,22 @@ def test_invariants_hold_for_randomized_scenarios(algorithm, case, backend):
 ML_PATTERNS = ["ml.ring_allreduce", "ml.moe_alltoall", "ml.pipeline_p2p"]
 
 
+@pytest.mark.parametrize("placement", ["random", "contiguous"])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("pattern", ML_PATTERNS)
-def test_ml_collectives_conserve_packets_under_every_routing(pattern, algorithm, backend):
+def test_ml_collectives_conserve_packets_under_every_routing(pattern, algorithm, placement):
     """Every ML-collective pattern completes and conserves packets under
     every routing algorithm — the deadlock-freedom check for the family's
     hand-built communication schedules (ring rounds, pairwise exchanges,
-    pipeline chains)."""
+    pipeline chains).  Random placement spreads the ranks across groups;
+    contiguous placement packs them into one, so the schedules run over
+    both global and purely local channels."""
     config = SimulationConfig(system=tiny_system(), seed=11).with_routing(algorithm)
-    sim_backend = get_backend(backend)
-    sim = sim_backend.create_simulator()
-    network = DragonflyNetwork(sim, config, backend=sim_backend)
+    sim = Simulator()
+    network = DragonflyNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)
-    policy = create_placement("random")
+    policy = create_placement(placement)
     placement_rng = network.rng.get("placement")
     application = create_application(pattern, 6, scale=0.25, iterations=2)
     nodes = allocator.allocate(pattern, 6, policy, placement_rng)
@@ -184,7 +174,13 @@ def test_ml_collectives_conserve_packets_under_every_routing(pattern, algorithm,
     assert network.quiescent(), "packets left buffered after completion"
 
 
-def test_packet_conservation_at_measurement_window_cut(backend):
+#: Routings of the single-scenario invariant checks below: one
+#: congestion-sensing UGAL variant and the learned router.
+CHECK_ROUTINGS = ["par", "q-adaptive"]
+
+
+@pytest.mark.parametrize("algorithm", CHECK_ROUTINGS)
+def test_packet_conservation_at_measurement_window_cut(algorithm):
     """Every injected packet is accounted for when the run is cut at the
     measurement-window boundary with packets still in flight: it was either
     delivered, sits in a router input buffer, or is traversing a link (a
@@ -195,7 +191,7 @@ def test_packet_conservation_at_measurement_window_cut(backend):
 
     config = SimulationConfig(
         system=tiny_system(), seed=7, warmup_ns=2_000.0, measurement_ns=8_000.0
-    ).with_routing("par").with_backend(backend)
+    ).with_routing(algorithm)
     scenario = Scenario(
         name="loadcurve/cut",
         jobs=(AppSpec("shift", 6, {"offered_load": 0.9}),),
@@ -219,12 +215,12 @@ def test_packet_conservation_at_measurement_window_cut(backend):
     assert stats.measured_packets_ejected <= stats.total_packets_injected
 
 
-def test_staggered_job_injects_nothing_before_arrival(backend):
+@pytest.mark.parametrize("algorithm", CHECK_ROUTINGS)
+def test_staggered_job_injects_nothing_before_arrival(algorithm):
     """No packet of a staggered job may enter the network before its start."""
-    config = SimulationConfig(system=tiny_system(), seed=5).with_routing("par")
-    sim_backend = get_backend(backend)
-    sim = sim_backend.create_simulator()
-    network = DragonflyNetwork(sim, config, backend=sim_backend)
+    config = SimulationConfig(system=tiny_system(), seed=5).with_routing(algorithm)
+    sim = Simulator()
+    network = DragonflyNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)
     policy = create_placement("random")
@@ -273,8 +269,7 @@ def _run_flow(algorithm: str, case_seed: int):
         .with_routing(algorithm)
         .with_fidelity("flow")
     )
-    sim_backend = get_backend("reference")
-    sim = sim_backend.create_simulator(trace=True)
+    sim = Simulator(trace=True)
     network = FlowNetwork(sim, config)
     engine = MpiEngine(network)
     allocator = NodeAllocator(network.num_nodes)
@@ -292,7 +287,7 @@ def _run_flow(algorithm: str, case_seed: int):
 @pytest.mark.parametrize(
     "algorithm,case", FLOW_CASES, ids=[f"{a}-{c}" for a, c in FLOW_CASES]
 )
-def test_invariants_hold_at_flow_fidelity(algorithm, case, monkeypatch):
+def test_invariants_hold_at_flow_fidelity(algorithm, case):
     """Conservation and monotone-clock invariants on the fidelity axis.
 
     Flow fidelity has no packets, buffers or credits, so the conserved
@@ -300,9 +295,6 @@ def test_invariants_hold_at_flow_fidelity(algorithm, case, monkeypatch):
     exactly once, with every payload byte accounted for, and the network
     drains completely.
     """
-    from repro.flow import ENV_FIDELITY
-
-    monkeypatch.delenv(ENV_FIDELITY, raising=False)
     sim, network, engine = _run_flow(algorithm, case)
     stats = network.stats
 

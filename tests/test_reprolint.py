@@ -1,20 +1,16 @@
 """Tests for the reprolint static-analysis tool.
 
-Four layers:
+Three layers:
 
 * **fixtures** — every file under ``tests/lint_fixtures/`` encodes its own
   expectations: a ``# expect: CODE`` trailing comment marks each line that
   must produce exactly that diagnostic, and files without markers must lint
   clean.  A ``# lint-as: <path>`` first line lints the file under a virtual
   path (rules like REP102 are scoped to simulation code).  A *subdirectory*
-  of fixtures lints as one group, so cross-module rules (REP311 dataflow,
-  REP5xx parity) see imports resolve; groups get a parity manifest computed
-  from themselves, keeping the committed manifest out of fixture runs.
+  of fixtures lints as one group, so cross-module rules (REP311 dataflow)
+  see imports resolve.
 * **framework** — suppression comments, unused-disable audit, JSON/SARIF
   schemas, the baseline ratchet, exit codes, the rule registry.
-* **parity drift** — the mutation test: editing a reference hot-core body
-  without touching its fast override must trip REP503 against the committed
-  manifest (and ``# reprolint: parity-reviewed`` must waive it).
 * **self-check** — the shipped tree (``src``, ``tools``, ``examples``,
   ``benchmarks``) must be reprolint-clean; this is the tier-1 enforcement
   the CI lint job mirrors.
@@ -36,8 +32,6 @@ if str(ROOT) not in sys.path:
 
 from tools.reprolint import all_rules, lint_paths, lint_sources  # noqa: E402
 from tools.reprolint.__main__ import main  # noqa: E402
-from tools.reprolint.checkers.parity import compute_manifest  # noqa: E402
-from tools.reprolint.core import build_project  # noqa: E402
 from tools.reprolint.output import (  # noqa: E402
     compare_to_baseline,
     findings_to_sarif,
@@ -102,8 +96,7 @@ def test_fixture_group_expectations(group):
         expected.extend(
             (virtual, line, code) for line, code in _expected_findings(text)
         )
-    manifest = compute_manifest(build_project(sources))
-    findings = lint_sources(sources, parity_manifest=manifest)
+    findings = lint_sources(sources)
     actual = sorted((f.path, f.line, f.code) for f in findings)
     assert actual == sorted(expected), (
         f"{group.name}: expected {sorted(expected)}, got {actual}"
@@ -111,12 +104,12 @@ def test_fixture_group_expectations(group):
 
 
 def test_every_rule_family_has_a_bad_fixture():
-    """All six families are exercised by at least one deliberate breakage."""
+    """All five families are exercised by at least one deliberate breakage."""
     covered = set()
     for fixture in FIXTURES.rglob("*.py"):
         for _, code in _expected_findings(fixture.read_text()):
             covered.add(code[:4])  # REP1 .. REP6
-    assert {"REP1", "REP2", "REP3", "REP4", "REP5", "REP6"} <= covered
+    assert {"REP1", "REP2", "REP3", "REP4", "REP6"} <= covered
 
 
 # ----------------------------------------------------------- suppressions
@@ -291,67 +284,6 @@ def test_malformed_baseline_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-# ---------------------------------------------------------- parity drift
-_PARITY_FILES = ("src/repro/network/router.py", "src/repro/backends/fast.py")
-_REF_DOCSTRING = '"""A packet arrived on ``in_port`` (called by the upstream link)."""'
-
-
-def _parity_sources(mutate_reference=False, mark_reviewed=False):
-    sources = {rel: (ROOT / rel).read_text() for rel in _PARITY_FILES}
-    text = sources["src/repro/network/router.py"]
-    assert _REF_DOCSTRING in text
-    if mutate_reference:
-        text = text.replace(
-            _REF_DOCSTRING, _REF_DOCSTRING + "\n        _parity_probe = 0", 1
-        )
-    if mark_reviewed:
-        text = text.replace(
-            "    def receive_packet(self",
-            "    # reprolint: parity-reviewed\n    def receive_packet(self",
-            1,
-        )
-    sources["src/repro/network/router.py"] = text
-    return sources
-
-
-def test_shipped_parity_pair_is_clean_against_manifest():
-    findings = lint_sources(_parity_sources(), select=["REP5"])
-    assert findings == [], "\n".join(f.render() for f in findings)
-
-
-def test_reference_edit_without_fast_touch_trips_rep503():
-    """The mutation test: a reference hot-core change with an untouched fast
-    override is semantic drift, caught against the committed manifest."""
-    findings = lint_sources(_parity_sources(mutate_reference=True), select=["REP5"])
-    codes = {f.code for f in findings}
-    assert codes == {"REP503"}, "\n".join(f.render() for f in findings)
-    (finding,) = findings
-    assert "receive_packet" in finding.message
-    assert finding.path == "src/repro/network/router.py"
-
-
-def test_parity_reviewed_directive_waives_rep503():
-    findings = lint_sources(
-        _parity_sources(mutate_reference=True, mark_reviewed=True), select=["REP5"]
-    )
-    assert findings == [], "\n".join(f.render() for f in findings)
-
-
-def test_update_parity_manifest_matches_committed(tmp_path):
-    """--update-parity output for the shipped tree equals the committed
-    manifest (i.e. the manifest is up to date and regeneration is stable)."""
-    sources = {}
-    for base in ("src", "tools", "examples", "benchmarks"):
-        for path in sorted((ROOT / base).rglob("*.py")):
-            rel = str(path.relative_to(ROOT))
-            sources[rel] = path.read_text()
-    manifest = compute_manifest(build_project(sources))
-    committed = json.loads(
-        (ROOT / "tools" / "reprolint" / "parity_manifest.json").read_text()
-    )
-    assert manifest == committed
-
-
 def test_exit_codes(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
@@ -380,7 +312,14 @@ def test_rule_registry_codes_are_wellformed():
         assert re.fullmatch(r"REP\d{3}", code)
         assert description
     families = {code[:4] for code in rules}
-    assert {"REP1", "REP2", "REP3", "REP4", "REP5", "REP6"} <= families
+    assert families == {"REP0", "REP1", "REP2", "REP3", "REP4", "REP6"}
+    assert len(rules) == 17
+
+
+def test_list_rules_prints_the_catalogue(capsys):
+    assert main(["--list-rules"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == sorted(all_rules())
 
 
 # -------------------------------------------------------------- self-check

@@ -1,11 +1,10 @@
-"""The seven domain rule families.  Importing this package registers them."""
+"""The six domain rule families.  Importing this package registers them."""
 
 from tools.reprolint.checkers import (
     determinism,
     exceptions,
     hashstability,
     hotpath,
-    parity,
     units,
     unitflow,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "exceptions",
     "hashstability",
     "hotpath",
-    "parity",
     "units",
     "unitflow",
 ]

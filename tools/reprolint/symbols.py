@@ -1,17 +1,14 @@
 """Project-wide symbol table and call graph for the multi-pass analyzer.
 
 The v1 checkers were per-file and syntactic; the v2 rule families (unit
-dataflow REP31x, backend parity REP5xx, exception contracts REP6xx) need to
-answer cross-module questions:
+dataflow REP31x, exception contracts REP6xx) need to answer cross-module
+questions:
 
 * "which function does this call resolve to?" — :meth:`SymbolTable.resolve_call`
   follows local defs, ``import``/``from`` bindings, module-attribute chains
   and ``self.method()`` dispatch through the project MRO;
 * "what class does this class subclass?" — :meth:`SymbolTable.mro` walks
-  base-class names through the import table, staying inside the linted set;
-* "did this method body change?" — :func:`body_hash` hashes a
-  version-stable dump of the signature + body (docstrings excluded, empty
-  and position-only AST fields skipped so Python 3.10 and 3.12 agree).
+  base-class names through the import table, staying inside the linted set.
 
 Everything is derived from the parsed modules handed to one lint run: a
 symbol that lives in a file outside the run simply does not resolve, and
@@ -21,18 +18,15 @@ every consumer treats "unresolved" as "unknown", never as an error.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = [
     "ClassInfo",
     "FunctionInfo",
     "SymbolTable",
-    "body_hash",
     "module_name_of",
-    "stable_dump",
 ]
 
 #: Directory names that anchor a dotted module path.  ``src`` is stripped
@@ -67,53 +61,6 @@ def module_name_of(path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
-
-
-# --------------------------------------------------------------- stable dump
-#: AST fields that only carry source positions or version-specific sugar;
-#: excluded so hashes survive both reformatting and interpreter upgrades.
-_SKIPPED_FIELDS = {"lineno", "col_offset", "end_lineno", "end_col_offset", "type_comment"}
-
-
-def stable_dump(node: object) -> str:
-    """A deterministic, version-stable rendering of an AST (sub)tree.
-
-    Unlike :func:`ast.dump`, empty-sequence and ``None`` fields are omitted,
-    so trees parsed on Python 3.10 and 3.12 (which grew ``type_params``)
-    render identically for identical source.
-    """
-    if isinstance(node, ast.AST):
-        rendered: List[str] = []
-        for name in node._fields:
-            if name in _SKIPPED_FIELDS:
-                continue
-            value = getattr(node, name, None)
-            if value is None or (isinstance(value, (list, tuple)) and not value):
-                continue
-            rendered.append(f"{name}={stable_dump(value)}")
-        return f"{type(node).__name__}({', '.join(rendered)})"
-    if isinstance(node, (list, tuple)):
-        return f"[{', '.join(stable_dump(item) for item in node)}]"
-    return repr(node)
-
-
-def body_hash(node: ast.FunctionDef) -> str:
-    """Content hash of a function's signature + body (docstring excluded).
-
-    The parity manifest stores these: a hash change means the method's
-    *semantics-bearing* text changed — moving the method, editing comments
-    or rewording the docstring does not trip it.
-    """
-    body: Sequence[ast.stmt] = node.body
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        body = body[1:]
-    text = stable_dump(node.args) + "\n" + "\n".join(stable_dump(stmt) for stmt in body)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 # ------------------------------------------------------------------- symbols
