@@ -66,9 +66,11 @@ def main() -> None:
     # Peek inside router 0's learned table.
     routing = q_network.routing
     table = routing.table_for(q_network.routers[0])
-    print(f"\nQ-table of router 0: {table.known_entries()} learned entries, "
-          f"{table.updates} updates")
-    sample = sorted(table.snapshot().items())[:6]
+    print(f"\nQ-table of router 0: {len(table.rows)} destinations "
+          f"({table.known_entries()} entries), {table.updates} updates")
+    terminal = set(q_network.topology.terminal_ports())
+    entries = sorted(table.snapshot().items())
+    sample = [entry for entry in entries if entry[0][0] not in terminal][:6]
     for (port, dest), value in sample:
         print(f"  port {port:2d} -> dest {dest}: estimated delivery {value:8.1f} ns")
 

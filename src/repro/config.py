@@ -241,6 +241,10 @@ class SimulationConfig:
     #: Hard stop for the simulation clock, ns (None = run to completion).
     max_time_ns: Optional[float] = None
     #: Hard stop on the number of fired events (safety valve for tests).
+    #: It counts calendar events actually fired.  Credit returns and
+    #: link-free callbacks nobody waits on are reserved slots, not events
+    #: (see :mod:`repro.core.engine`), so a packet run fires 33–60% fewer
+    #: events than a kernel that made each of them an event.
     max_events: Optional[int] = None
 
     # ------------------------------------------------- steady-state windows

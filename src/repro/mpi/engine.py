@@ -47,6 +47,8 @@ __all__ = ["ComputeOp", "MpiEngine", "MpiJob", "RankContext", "RankOp", "RankPro
 #: Size (bytes) of RTS/CTS control messages on the wire.
 CONTROL_MESSAGE_BYTES = 64
 
+_COMPUTE_DONE = EventKind.COMPUTE_DONE
+
 _xid_counter = itertools.count(1)
 
 
@@ -365,9 +367,8 @@ class MpiEngine:
                         state.job, state.rank, operation.duration, self.sim.now
                     )
                 state.job.record.add_compute_time(state.rank, operation.duration)
-                self.sim.schedule(
-                    operation.duration, self._advance, state, None, kind=EventKind.COMPUTE_DONE
-                )
+                sim = self.sim
+                sim.push(sim.now + operation.duration, self._advance, (state, None), _COMPUTE_DONE)
                 return
             if isinstance(operation, WaitOp):
                 # Record the full request list before the completed-filter so
@@ -406,20 +407,19 @@ class MpiEngine:
             raise ValueError(f"destination rank {dst_rank} outside job {job.name}")
         size_bytes = max(1, int(size_bytes))
         request = SendRequest(src_rank, dst_rank, tag, size_bytes)
+        sim = self.sim
+        now = sim.now
         if self.recorder is not None:
-            self.recorder.record_send(
-                job, src_rank, dst_rank, size_bytes, tag, request, self.sim.now
-            )
+            self.recorder.record_send(job, src_rank, dst_rank, size_bytes, tag, request, now)
         job.record.record_send(src_rank, size_bytes)
         xid = next(_xid_counter)
         envelope = Envelope(src_rank, dst_rank, tag, size_bytes, xid)
 
         if dst_rank == src_rank:
             # Loopback: no network involvement, a small software overhead only.
-            self.sim.schedule(self.config.message_overhead_ns, request.complete, self.sim.now)
-            self.sim.schedule(
-                self.config.message_overhead_ns, self._arrive_eager, job, envelope
-            )
+            done = now + self.config.message_overhead_ns
+            sim.push(done, request.complete, (now,))
+            sim.push(done, self._arrive_eager, (job, envelope))
             return request
 
         src_node, dst_node = job.node_of(src_rank), job.node_of(dst_rank)
@@ -431,12 +431,12 @@ class MpiEngine:
                 app_id=job.job_id,
                 tag=tag,
                 kind=MessageKind.DATA,
-                create_time=self.sim.now,
+                create_time=now,
                 payload={"type": "eager", "envelope": envelope},
             )
             self.network.send_message(message)
             # Eager sends complete locally once the NIC has buffered the data.
-            self.sim.schedule(self.config.message_overhead_ns, request.complete, self.sim.now)
+            sim.push(now + self.config.message_overhead_ns, request.complete, (now,))
         else:
             self._pending_sends[(job.job_id, xid)] = {
                 "request": request,
@@ -451,7 +451,7 @@ class MpiEngine:
                 app_id=job.job_id,
                 tag=tag,
                 kind=MessageKind.RTS,
-                create_time=self.sim.now,
+                create_time=now,
                 payload={"type": "rts", "envelope": envelope},
             )
             self.network.send_message(rts)

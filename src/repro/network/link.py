@@ -5,26 +5,45 @@ to one input port of a downstream entity.  It serializes one packet at a time
 at the configured bandwidth (flit-quantized), then delivers the packet after
 the propagation latency.  Credits returned by the downstream entity travel
 back over the same link with the same latency.
+
+Events per hop: the delivery is always a calendar event.  The end of
+serialization ("link free") and the returning credit are *reserved slots*
+(see :mod:`repro.core.engine`): each takes its ``(time, seq)`` key when the
+packet is sent or the credit returned, but reaches the calendar only if the
+upstream entity has a request waiting on the port.  Everybody else reads
+the link's busy state and the upstream's credit count lazily against the
+simulator's current key.  The upstream therefore sees each change at
+exactly the key it would have seen it as an event.  It is woken at that key
+only when it asked:
+
+* the link is busy and it has a request waiting — :meth:`Link.wake_when_free`;
+* the link is free, it has a request waiting and no credit to send it —
+  :meth:`Link.wake_on_credits`.
+
+A credit returned while the link is free and a request waits is pushed
+straight away.  A link freed while a request waits is too.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional, Protocol, Sized, Tuple
 
 from repro.core.engine import Simulator
 from repro.core.events import EventKind
+from repro.network.buffers import CreditTracker
 from repro.network.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stats.collector import StatsCollector
 
-__all__ = ["Link", "LinkKind"]
+__all__ = ["Link", "LinkKind", "Upstream"]
 
 # Bound once: transmit() runs for every packet on every hop.
 _SERIALIZED = EventKind.LINK_SERIALIZED
 _DELIVERY = EventKind.LINK_DELIVERY
 _CREDIT = EventKind.CREDIT_RETURN
+_NEVER = float("-inf")
 
 
 class LinkKind(enum.IntEnum):
@@ -35,6 +54,20 @@ class LinkKind(enum.IntEnum):
     GLOBAL = 2
 
 
+class Upstream(Protocol):
+    """What a link needs from the entity that sends over it."""
+
+    def output_state(self, port: int) -> Tuple[CreditTracker, Sized]:
+        """Credits for the downstream buffer of ``port`` and the requests
+        waiting to leave through it (non-empty = somebody is waiting)."""
+
+    def link_free(self, port: int) -> None:
+        """The link on ``port`` finished serializing; a request is waiting."""
+
+    def credit_returned(self, port: int, vc: int) -> None:
+        """Apply one credit for (``port``, ``vc``); a request is waiting."""
+
+
 class Link:
     """One direction of a physical link.
 
@@ -43,8 +76,7 @@ class Link:
     sim:
         The discrete-event engine.
     src, src_port:
-        Upstream entity (must expose ``link_free(port)`` and
-        ``credit_returned(port, vc)``) and its output port index.
+        Upstream entity (see :class:`Upstream`) and its output port index.
     dst, dst_port:
         Downstream entity (must expose ``receive_packet(port, packet)``) and
         its input port index.
@@ -71,18 +103,23 @@ class Link:
         "flit_size",
         "stats",
         "link_id",
-        "busy",
+        "credits",
+        "waiting",
         "busy_time",
         "bytes_carried",
         "packets_carried",
+        "_free_time",
+        "_free_seq",
+        "_free_armed",
+        "_port_args",
     )
 
     def __init__(
         self,
         sim: Simulator,
-        src,
+        src: Upstream,
         src_port: int,
-        dst,
+        dst: Any,
         dst_port: int,
         kind: LinkKind,
         bandwidth_bytes_per_ns: float,
@@ -106,48 +143,93 @@ class Link:
         self.flit_size = flit_size
         self.stats = stats
         self.link_id = link_id
+        #: The upstream's credits for our downstream buffer, and its requests
+        #: waiting for this link.
+        self.credits, self.waiting = src.output_state(src_port)
 
-        self.busy = False
         #: Cumulative time this link spent serializing packets (ns).
         self.busy_time = 0.0
         #: Cumulative payload bytes carried.
         self.bytes_carried = 0
         #: Cumulative packets carried.
         self.packets_carried = 0
+        # Reserved slot at which the current serialization ends, and whether
+        # it has been pushed to the calendar.
+        self._free_time = _NEVER
+        self._free_seq = -1
+        self._free_armed = True
+        self._port_args = (src_port,)
 
     # ----------------------------------------------------------------- send
+    @property
+    def busy(self) -> bool:
+        """Whether a packet is still serializing at the current key."""
+        # Not Simulator.reached(free slot), inlined: routers ask on every grant.
+        sim = self.sim
+        free = self._free_time
+        now = sim.now
+        return free > now or (free == now and self._free_seq > sim.now_seq)
+
     def serialization_time(self, packet: Packet) -> float:
         """Flit-quantized serialization time of ``packet`` on this link."""
         return (packet.num_flits * self.flit_size) / self.bandwidth
 
+    # reprolint: hot
     def transmit(self, packet: Packet) -> None:
         """Start serializing ``packet``.  The link must be idle."""
         if self.busy:
             raise RuntimeError(f"link {self.link_id} is busy; arbitration bug upstream")
-        self.busy = True
+        sim = self.sim
+        now = sim.now
         ser = self.serialization_time(packet)
         self.busy_time += ser
         self.bytes_carried += packet.size_bytes
         self.packets_carried += 1
         if self.stats is not None:
             self.stats.record_link_traffic(self, packet)
-        schedule = self.sim.schedule
-        schedule(ser, self._serialization_done, kind=_SERIALIZED)
-        schedule(ser + self.latency, self._deliver, packet, kind=_DELIVERY)
+        free = now + ser
+        seq = sim.reserve(free)
+        self._free_time = free
+        self._free_seq = seq
+        self._free_armed = armed = bool(self.waiting)
+        if armed:
+            sim.push_reserved(free, seq, self.src.link_free, self._port_args, _SERIALIZED)
+        sim.push(
+            now + (ser + self.latency),
+            self.dst.receive_packet,
+            (self.dst_port, packet),
+            _DELIVERY,
+        )
 
-    def _serialization_done(self) -> None:
-        self.busy = False
-        self.src.link_free(self.src_port)
-
-    def _deliver(self, packet: Packet) -> None:
-        self.dst.receive_packet(self.dst_port, packet)
+    def wake_when_free(self) -> None:
+        """Call the upstream's ``link_free`` when the current packet is sent."""
+        if not self._free_armed:
+            self._free_armed = True
+            self.sim.push_reserved(
+                self._free_time, self._free_seq, self.src.link_free, self._port_args,
+                _SERIALIZED,
+            )
 
     # -------------------------------------------------------------- credits
+    # reprolint: hot
     def return_credit(self, vc: int) -> None:
         """Send one credit back to the upstream entity (takes ``latency`` ns)."""
-        self.sim.schedule(
-            self.latency, self.src.credit_returned, self.src_port, vc, kind=_CREDIT
-        )
+        sim = self.sim
+        time = sim.now + self.latency
+        seq = sim.reserve(time)
+        if self.waiting and not self.busy:
+            # The upstream is stalled on credits right now: wake it.
+            sim.push_reserved(time, seq, self.src.credit_returned, (self.src_port, vc), _CREDIT)
+        else:
+            self.credits.reserve(time, seq, vc)
+
+    def wake_on_credits(self) -> None:
+        """Call the upstream's ``credit_returned`` for every credit in flight."""
+        push = self.sim.push_reserved
+        credit_returned = self.src.credit_returned
+        port = self.src_port
+        for time, seq, vc in self.credits.take_pending():
+            push(time, seq, credit_returned, (port, vc), _CREDIT)
 
     # ------------------------------------------------------------------ misc
     def utilization(self, elapsed_ns: float) -> float:

@@ -11,7 +11,7 @@ are returned as soon as a packet arrives.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
@@ -61,7 +61,7 @@ class Nic:
         #: Link from the router's terminal output port (set during wiring).
         self.in_link: Optional[Link] = None
         #: Credits for the router-side terminal input buffer.
-        self.credits = CreditTracker(config.system.num_vcs, config.system.buffer_packets)
+        self.credits = CreditTracker(sim, config.system.num_vcs, config.system.buffer_packets)
         #: Packets segmented from messages, waiting to enter the network.
         self.injection_queue: Deque[Packet] = deque()
         #: Called with a fully-reassembled :class:`Message` on delivery.
@@ -85,30 +85,43 @@ class Nic:
         self.injection_queue.extend(packets)
         self._try_inject()
 
+    def output_state(self, port: int) -> Tuple[CreditTracker, Deque[Packet]]:
+        """Credits and waiting packets of the injection port (for its link)."""
+        return self.credits, self.injection_queue
+
+    # reprolint: hot
     def _try_inject(self) -> None:
-        """Inject the next queued packet if the terminal link and credits allow."""
-        if not self.injection_queue:
+        """Inject the next queued packet if the terminal link and credits allow.
+
+        Otherwise ask the link to wake the NIC at the next change that could.
+        """
+        queue = self.injection_queue
+        if not queue:
             return
         link = self.out_link
         if link is None:
             raise RuntimeError(f"NIC {self.node_id} is not wired to a router")
         if link.busy:
+            link.wake_when_free()
             return
-        packet = self.injection_queue[0]
+        credits = self.credits
         # All packets enter the network on VC 0; the VC index then follows the
         # hop count, which keeps VC order strictly increasing along any path.
-        if not self.credits.has_credit(0):
+        if not credits.has_credit(0):
+            link.wake_on_credits()
             return
-        self.injection_queue.popleft()
-        self.credits.consume(0)
+        packet = queue.popleft()
+        credits.consume(0)
         packet.vc = 0
-        packet.inject_time = self.sim.now
+        now = self.sim.now
+        packet.inject_time = now
         self.bytes_injected += packet.size_bytes
         self.packets_injected += 1
         if self.stats is not None:
             self.stats.record_packet_injected(self, packet)
-        if packet.seq == packet.message.num_packets - 1:
-            packet.message.inject_end_time = self.sim.now
+        message = packet.message
+        if packet.seq == message.num_packets - 1:
+            message.inject_end_time = now
         link.transmit(packet)
 
     # ----------------------------------------------------------- callbacks
@@ -117,7 +130,7 @@ class Nic:
         self._try_inject()
 
     def credit_returned(self, port: int, vc: int) -> None:
-        """The router freed a slot in its terminal input buffer."""
+        """A credit arrived from the router while packets wait to inject."""
         self.credits.release(vc)
         self._try_inject()
 

@@ -105,7 +105,8 @@ class Router:
         self.out_links: List[Optional[Link]] = [None] * self.num_ports
         #: Credits available on the downstream buffer of each output port.
         self.credits: List[CreditTracker] = [
-            CreditTracker(self.num_vcs, system.buffer_packets) for _ in range(self.num_ports)
+            CreditTracker(sim, self.num_vcs, system.buffer_packets)
+            for _ in range(self.num_ports)
         ]
         #: (input port, vc) pairs whose head packet wants each output port.
         self.out_requests: List[Deque[Tuple[int, int]]] = [
@@ -125,6 +126,10 @@ class Router:
         if self.in_links[port] is not None:
             raise RuntimeError(f"router {self.router_id} port {port} already has an input link")
         self.in_links[port] = link
+
+    def output_state(self, port: int) -> Tuple[CreditTracker, Deque[Tuple[int, int]]]:
+        """Credits and waiting requests of output ``port`` (for its link)."""
+        return self.credits[port], self.out_requests[port]
 
     # ---------------------------------------------------------- congestion
     def output_occupancy(self, port: int) -> int:
@@ -179,15 +184,23 @@ class Router:
     # ---------------------------------------------------------- arbitration
     # reprolint: hot
     def _try_output(self, out_port: int) -> None:
-        """Grant the output port to a waiting head packet if possible."""
-        link = self.out_links[out_port]
-        if link is None or link.busy:
-            return
+        """Grant the output port to a waiting head packet if possible.
+
+        When no grant is possible, ask the link to wake this port again at
+        the next change that could allow one.
+        """
         requests = self.out_requests[out_port]
+        link = self.out_links[out_port]
+        if not requests or link is None:
+            return
+        if link.busy:
+            link.wake_when_free()
+            return
         credits = self.credits[out_port]
+        in_buffers = self.in_buffers
         for _ in range(len(requests)):
             in_port, vc = requests[0]
-            packet = self.in_buffers[in_port].head(vc)
+            packet = in_buffers[in_port].head(vc)
             assert packet is not None and packet.out_port == out_port
             if credits.has_credit(packet.next_vc):
                 requests.popleft()
@@ -196,7 +209,7 @@ class Router:
             # Head-of-line packet cannot advance on its VC: rotate so other
             # inputs contending for this port still make progress.
             requests.rotate(-1)
-        return
+        link.wake_on_credits()
 
     # reprolint: hot
     def _grant(self, in_port: int, vc: int, out_port: int, packet: Packet) -> None:
@@ -237,7 +250,7 @@ class Router:
         self._try_output(out_port)
 
     def credit_returned(self, out_port: int, vc: int) -> None:
-        """Downstream freed a buffer slot on (out_port, vc)."""
+        """A credit for (out_port, vc) arrived while a request waits on it."""
         self.credits[out_port].release(vc)
         self._try_output(out_port)
 

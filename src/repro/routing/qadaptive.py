@@ -73,12 +73,17 @@ class QAdaptiveRouting(RoutingAlgorithm):
         """The Q-table of ``router`` (created on first use)."""
         table = self._tables.get(router.router_id)
         if table is None:
-            table = QTable(router.router_id, self._make_initializer(router))
+            table = QTable(router.router_id, self._row_factory(router))
             self._tables[router.router_id] = table
         return table
 
-    def _make_initializer(self, router: "Router") -> Callable[[int, DestKey], float]:
-        """Optimistic zero-load initial estimates for a router's table."""
+    def _row_factory(self, router: "Router") -> Callable[[DestKey], List[float]]:
+        """Optimistic zero-load initial rows for a router's table.
+
+        Remaining time ≈ hop over the port + minimal remainder from the
+        neighbour, assuming an uncongested network.  The per-port facts (hop
+        latency, next router, next group) are computed once per router.
+        """
         topo = self.topology
         config = self.network.config.system
         local, global_, terminal = (
@@ -86,27 +91,29 @@ class QAdaptiveRouting(RoutingAlgorithm):
             config.global_latency_ns,
             config.terminal_latency_ns,
         )
+        far = local + global_ + local
         serialization = config.packet_serialization_ns
-
-        def initializer(port: int, dest: DestKey) -> float:
-            # Remaining time ≈ hop over `port` + minimal remainder from the
-            # neighbour, assuming an uncongested network.
-            hop = topo.link_latency(port) + serialization
+        # (hop latency, next router, next group); next router -1 = a node.
+        facts: List[Tuple[float, int, int]] = []
+        for port in range(topo.ports_per_router):
             neighbor = topo.neighbor(router.router_id, port)
-            if neighbor.is_node:
-                return hop
-            next_router = neighbor.router
-            if dest[0] == "r":
-                remaining = 0.0 if next_router == dest[1] else local
-            else:
-                next_group = topo.group_of_router(next_router)
-                if next_group == dest[1]:
-                    remaining = local
-                else:
-                    remaining = local + global_ + local
-            return hop + remaining + terminal
+            next_router = -1 if neighbor.is_node else neighbor.router
+            next_group = -1 if neighbor.is_node else topo.group_of_router(next_router)
+            facts.append((topo.link_latency(port) + serialization, next_router, next_group))
 
-        return initializer
+        def new_row(dest: DestKey) -> List[float]:
+            level, target = dest
+            row = []
+            for hop, next_router, next_group in facts:
+                if next_router < 0:
+                    row.append(hop)
+                elif level == "r":
+                    row.append(hop + (0.0 if next_router == target else local) + terminal)
+                else:
+                    row.append(hop + (local if next_group == target else far) + terminal)
+            return row
+
+        return new_row
 
     # ------------------------------------------------------------ decisions
     def _dest_key(self, router: "Router", packet: Packet) -> DestKey:
@@ -133,21 +140,23 @@ class QAdaptiveRouting(RoutingAlgorithm):
 
     def decide_at_source(self, router: "Router", packet: Packet) -> None:
         """Pick minimal vs non-minimal using learned delivery-time estimates."""
-        table = self.table_for(router)
-        dest = self._dest_key(router, packet)
+        row = self.table_for(router).row(self._dest_key(router, packet))
         candidates = self._candidates(router, packet)
 
         if len(candidates) > 1 and self.rng.random() < self.config.q_exploration:
             choice = candidates[int(self.rng.integers(len(candidates)))]
         else:
+            # queue_weight * Router.queue_delay_estimate(port) + Q, inlined.
+            weight = self.config.q_queue_weight
+            serialization = self._serialization_ns
+            credits = router.credits
+            requests = router.out_requests
             best_score = float("inf")
             choice = candidates[0]
             for candidate in candidates:
                 port = candidate[0]
-                score = (
-                    self.config.q_queue_weight * router.queue_delay_estimate(port)
-                    + table.get(port, dest)
-                )
+                occupancy = credits[port].used + len(requests[port])
+                score = weight * (occupancy * serialization) + row[port]
                 if score < best_score:
                     best_score = score
                     choice = candidate
@@ -172,23 +181,24 @@ class QAdaptiveRouting(RoutingAlgorithm):
         ``queue_weight * queue_delay + Q`` over every viable output port — not
         just the port the packet happens to take next.
         """
-        dst_router = self.topology.router_of_node_table[packet.dst_node]
+        topo = self.topology
+        dst_router = topo.router_of_node_table[packet.dst_node]
         if dst_router == router.router_id:
             # Only the terminal hop remains.
             return self._terminal_remaining
-        table = self.table_for(router)
-        dest = self._dest_key(router, packet)
-        ports = self._local_ports if dest[0] == "r" else self._router_ports
+        dst_group = topo.group_of_router_table[dst_router]
+        if dst_group == router.group:
+            row = self.table_for(router).row(("r", dst_router))
+            ports = self._local_ports
+        else:
+            row = self.table_for(router).row(("g", dst_group))
+            ports = self._router_ports
         weight_ns = self.config.q_queue_weight * self._serialization_ns
         credits = router.credits
         requests = router.out_requests
-        get = table.get
         best = float("inf")
         for port in ports:
-            score = (
-                weight_ns * (credits[port].used + len(requests[port]))
-                + get(port, dest)
-            )
+            score = weight_ns * (credits[port].used + len(requests[port])) + row[port]
             if score < best:
                 best = score
         return best
@@ -204,18 +214,13 @@ class QAdaptiveRouting(RoutingAlgorithm):
             return
         if packet.request_time is None:
             return
-        hop_delay = router.sim.now - packet.request_time
-        estimate = self.estimate_remaining(router, packet)
-        dest = self._dest_key(sender, packet)
-        sample = hop_delay + estimate
-        router.sim.schedule(
-            in_link.latency,
+        now = router.sim.now
+        sample = (now - packet.request_time) + self.estimate_remaining(router, packet)
+        router.sim.push(
+            now + in_link.latency,
             self._apply_feedback,
-            sender,
-            in_link.src_port,
-            dest,
-            sample,
-            kind=_FEEDBACK,
+            (sender, in_link.src_port, self._dest_key(sender, packet), sample),
+            _FEEDBACK,
         )
 
     def _apply_feedback(self, sender: "Router", port: int, dest: DestKey, sample: float) -> None:

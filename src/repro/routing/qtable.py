@@ -6,15 +6,17 @@ nanoseconds) towards
 * every destination *group* (the inter-group level), and
 * every destination *router of the local group* (the intra-group level).
 
-Entries are created lazily and initialized with an optimistic zero-load
-estimate provided by the caller, so the very first packets follow minimal
-paths and exploration starts from a sensible prior — matching the paper's
-setup where Q-adaptive starts "without any pre-trained information".
+Each destination key owns one *row*: a list indexed by output port.  Rows are
+created lazily and initialized with an optimistic zero-load estimate provided
+by the caller, so the very first packets follow minimal paths and exploration
+starts from a sensible prior — matching the paper's setup where Q-adaptive
+starts "without any pre-trained information".  A routing decision for one
+destination is then one dict lookup plus a loop over that row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = ["QTable"]
 
@@ -25,27 +27,26 @@ DestKey = Tuple[str, int]
 class QTable:
     """Per-router table mapping (output port, destination key) to a Q-value."""
 
-    __slots__ = ("router_id", "_values", "_initializer", "updates")
+    __slots__ = ("router_id", "rows", "_new_row", "updates")
 
-    def __init__(
-        self,
-        router_id: int,
-        initializer: Callable[[int, DestKey], float],
-    ):
+    def __init__(self, router_id: int, new_row: Callable[[DestKey], List[float]]):
         self.router_id = router_id
-        self._values: Dict[Tuple[int, DestKey], float] = {}
-        self._initializer = initializer
+        #: Destination key -> Q-value per output port.
+        self.rows: Dict[DestKey, List[float]] = {}
+        self._new_row = new_row
         #: Number of learning updates applied (observability / tests).
         self.updates = 0
 
+    def row(self, dest: DestKey) -> List[float]:
+        """The Q-values towards ``dest``, indexed by output port."""
+        row = self.rows.get(dest)
+        if row is None:
+            row = self.rows[dest] = self._new_row(dest)
+        return row
+
     def get(self, port: int, dest: DestKey) -> float:
         """Current Q-value for forwarding towards ``dest`` through ``port``."""
-        key = (port, dest)
-        value = self._values.get(key)
-        if value is None:
-            value = float(self._initializer(port, dest))
-            self._values[key] = value
-        return value
+        return self.row(dest)[port]
 
     def update(self, port: int, dest: DestKey, sample: float, learning_rate: float) -> float:
         """Blend a new delivery-time ``sample`` into the estimate.
@@ -57,36 +58,26 @@ class QTable:
             raise ValueError("a delivery-time sample cannot be negative")
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning rate must be in (0, 1]")
-        old = self.get(port, dest)
-        new = (1.0 - learning_rate) * old + learning_rate * sample
-        self._values[(port, dest)] = new
+        row = self.row(dest)
+        new = (1.0 - learning_rate) * row[port] + learning_rate * sample
+        row[port] = new
         self.updates += 1
         return new
 
-    def best(self, ports_and_delays: Iterable[Tuple[int, float]], dest: DestKey) -> Tuple[int, float]:
-        """Port with the smallest (queue delay + Q) among ``ports_and_delays``.
-
-        ``ports_and_delays`` is an iterable of ``(port, queue_delay_ns)``.
-        Returns ``(port, score)``.
-        """
-        best_port = -1
-        best_score = float("inf")
-        for port, delay in ports_and_delays:
-            score = delay + self.get(port, dest)
-            if score < best_score:
-                best_score = score
-                best_port = port
-        if best_port < 0:
-            raise ValueError("best() called with an empty candidate set")
-        return best_port, best_score
-
     def known_entries(self) -> int:
         """Number of materialized (port, destination) entries."""
-        return len(self._values)
+        return sum(len(row) for row in self.rows.values())
 
     def snapshot(self) -> Dict[Tuple[int, DestKey], float]:
         """Copy of the current table contents (for inspection and tests)."""
-        return dict(self._values)
+        return {
+            (port, dest): value
+            for dest, row in self.rows.items()
+            for port, value in enumerate(row)
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QTable(router={self.router_id}, entries={len(self._values)}, updates={self.updates})"
+        return (
+            f"QTable(router={self.router_id}, rows={len(self.rows)}, "
+            f"updates={self.updates})"
+        )

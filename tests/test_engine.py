@@ -153,6 +153,97 @@ def test_trace_records_event_kinds():
     assert sim.trace_log[0][1] == EventKind.NIC_INJECT
 
 
+def test_push_fires_without_a_handle():
+    sim = Simulator()
+    fired = []
+    sim.push(5.0, fired.append, ("pushed",))
+    sim.schedule(5.0, fired.append, "scheduled")
+    sim.run()
+    assert fired == ["pushed", "scheduled"]
+    assert sim.events_fired == 2
+
+
+def test_reserved_slot_is_visible_to_later_seq_only():
+    sim = Simulator()
+    seen = []
+    slot = []
+
+    def probe(label):
+        seen.append((label, sim.reached(10.0, slot[0])))
+
+    sim.schedule(5.0, probe, "earlier time")
+    sim.schedule(10.0, probe, "earlier seq")
+    slot.append(sim.reserve(10.0))
+    sim.schedule(10.0, probe, "later seq")
+    sim.schedule(11.0, probe, "later time")
+    sim.run()
+    assert seen == [
+        ("earlier time", False),
+        ("earlier seq", False),
+        ("later seq", True),
+        ("later time", True),
+    ]
+    assert sim.events_fired == 4  # the slot itself is not an event
+
+
+def test_pushed_reserved_slot_fires_under_its_own_key():
+    sim = Simulator()
+    fired = []
+    sim.schedule(10.0, fired.append, "before")
+    seq = sim.reserve(10.0)
+    sim.schedule(10.0, fired.append, "after")
+    sim.push_reserved(10.0, seq, lambda: fired.append(("slot", sim.reached(10.0, seq))),
+                      (), EventKind.CREDIT_RETURN)
+    sim.run()
+    assert fired == ["before", ("slot", True), "after"]
+
+
+def _eager_and_reserved(event_times, slot_times, **run_kwargs):
+    """``(now, last_event_time)`` with the slots as events, then as reserved slots.
+
+    The first is what a kernel that made every slot its own event reports.
+    """
+    clocks = []
+    for reserve in (False, True):
+        sim = Simulator()
+        for time in event_times:
+            sim.schedule_at(time, lambda: None)
+        for time in slot_times:
+            if reserve:
+                sim.reserve(time)
+            else:
+                sim.schedule_at(time, lambda: None)
+        sim.run(**run_kwargs)
+        clocks.append((sim.now, sim.last_event_time))
+    return clocks
+
+
+@pytest.mark.parametrize(
+    "until, expected",
+    [
+        (None, (30.0, 30.0)),  # no bound: the clock ends on the last slot
+        (50.0, (50.0, 30.0)),  # a window: drained early, idles to the bound
+        (25.0, (25.0, 25.0)),  # a watchdog: expires before the last slot
+        (30.0, (30.0, 30.0)),  # a bound exactly on the last slot
+    ],
+)
+def test_drain_over_reserved_slots_matches_eager_events(until, expected):
+    eager, reserved = _eager_and_reserved([10.0], [20.0, 30.0], until=until)
+    assert reserved == eager == expected
+
+
+def test_run_until_over_reserved_slots_then_resume():
+    sim = Simulator()
+    seq = sim.reserve(40.0)
+    sim.schedule(10.0, lambda: None)
+    assert sim.run(until=20.0) == 20.0
+    assert not sim.reached(40.0, seq)
+    sim.schedule(5.0, lambda: None)
+    assert sim.run() == 40.0
+    assert sim.reached(40.0, seq)
+    assert sim.last_event_time == 40.0
+
+
 def test_run_is_not_reentrant():
     sim = Simulator()
 

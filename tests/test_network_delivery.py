@@ -116,6 +116,33 @@ def test_stall_recorded_for_packets_requested_at_time_zero():
     assert network.stats.port_stall.total() > 0
 
 
+@pytest.mark.parametrize("bound", ["none", "window", "watchdog"])
+def test_clock_ends_on_the_trailing_credit_return(bound):
+    # Between two nodes of one router, the last logical event of a
+    # one-message run is the credit the destination NIC returns to the
+    # router: a reserved slot nobody waits on.  The clock must end exactly
+    # where it ends when that credit is an event, with or without a bound.
+    config = SimulationConfig(system=tiny_system(), seed=1).with_routing("minimal")
+    probe = DragonflyNetwork(Simulator(), config)
+    probe.send_message(Message(0, 1, 2048))
+    probe.sim.run()
+    last_eject = max(record.eject_time for record in probe.stats.packet_records)
+    last = last_eject + config.system.terminal_latency_ns
+    assert probe.sim.now == probe.sim.last_event_time == last
+
+    until, expected = {
+        "none": (None, (last, last)),
+        "window": (last + 1_000.0, (last + 1_000.0, last)),
+        "watchdog": (last - 1.0, (last - 1.0, last - 1.0)),
+    }[bound]
+    sim = Simulator()
+    network = DragonflyNetwork(sim, config)
+    network.send_message(Message(0, 1, 2048))
+    sim.run(until=until)
+    assert (sim.now, sim.last_event_time) == expected
+    assert network.stats.total_packets_ejected == 4
+
+
 def test_wiring_covers_every_port():
     config = SimulationConfig(system=tiny_system()).with_routing("minimal")
     network = DragonflyNetwork(Simulator(), config)

@@ -64,7 +64,7 @@ def test_vc_buffer_fifo_and_capacity():
 
 
 def test_credit_tracker_consume_release_cycle():
-    credits = CreditTracker(num_vcs=3, initial_credits=2)
+    credits = CreditTracker(Simulator(), num_vcs=3, initial_credits=2)
     assert credits.available(1) == 2
     credits.consume(1)
     credits.consume(1)
@@ -79,57 +79,195 @@ def test_credit_tracker_consume_release_cycle():
         credits.release(1)
 
 
+def test_credit_tracker_applies_reserved_credit_once_its_key_is_reached():
+    sim = Simulator()
+    credits = CreditTracker(sim, num_vcs=2, initial_credits=1)
+    credits.consume(1)
+    seen = []
+
+    def probe(label):
+        seen.append((label, sim.now, credits.available(1), credits.used))
+
+    sim.schedule_at(10.0, probe, "earlier seq")
+    credits.reserve(10.0, sim.reserve(10.0), 1)
+    sim.schedule_at(10.0, probe, "later seq")
+    sim.schedule_at(5.0, probe, "earlier time")
+    sim.run()
+    assert seen == [
+        ("earlier time", 5.0, 0, 1),
+        ("earlier seq", 10.0, 0, 1),
+        ("later seq", 10.0, 1, 0),
+    ]
+
+
+def test_credit_tracker_overflow_raises_when_a_reserved_credit_lands():
+    sim = Simulator()
+    credits = CreditTracker(sim, num_vcs=1, initial_credits=1)
+    credits.reserve(0.0, sim.reserve(0.0), 0)  # the buffer slot was never used
+    sim.run()
+    with pytest.raises(RuntimeError, match="credit overflow"):
+        credits.has_credit(0)
+
+
 # -------------------------------------------------------------------- link
 class _Sink:
-    """Minimal downstream/upstream stub used to test the link in isolation."""
+    """Minimal downstream/upstream stub used to test the link in isolation.
 
-    def __init__(self):
+    As an upstream it holds the credits for the link's downstream buffer and
+    a list of requests waiting for the link; it records when the link wakes
+    it, and applies the credit it is handed as a router or NIC does.
+    """
+
+    def __init__(self, sim, num_vcs=5, depth=2):
+        self.sim = sim
+        self.tracker = CreditTracker(sim, num_vcs, depth)
+        self.waiting = []
         self.received = []
         self.freed = []
         self.credits = []
+
+    def output_state(self, port):
+        return self.tracker, self.waiting
 
     def receive_packet(self, port, packet):
         self.received.append((port, packet))
 
     def link_free(self, port):
-        self.freed.append(port)
+        self.freed.append((self.sim.now, port))
 
     def credit_returned(self, port, vc):
-        self.credits.append((port, vc))
+        self.tracker.release(vc)
+        self.credits.append((self.sim.now, port, vc))
+
+
+def _local_link(sim, src, dst):
+    return Link(sim, src, 3, dst, 1, LinkKind.LOCAL, bandwidth_bytes_per_ns=25.0,
+                latency_ns=30.0, flit_size=128, link_id=("R", 0, 3))
+
+
+def _packet():
+    return Message(0, 1, 512).segment(512, 128)[0]
 
 
 def test_link_serialization_and_delivery_timing():
     sim = Simulator()
-    src, dst = _Sink(), _Sink()
-    link = Link(sim, src, 3, dst, 1, LinkKind.LOCAL, bandwidth_bytes_per_ns=25.0,
-                latency_ns=30.0, flit_size=128, link_id=("R", 0, 3))
-    packet = Message(0, 1, 512).segment(512, 128)[0]
+    src, dst = _Sink(sim), _Sink(sim)
+    link = _local_link(sim, src, dst)
+    packet = _packet()
     link.transmit(packet)
     assert link.busy
     with pytest.raises(RuntimeError):
         link.transmit(packet)
     sim.run()
     # 512 B at 25 B/ns -> 20.48 ns serialization, then 30 ns propagation.
-    assert src.freed == [3]
+    assert not link.busy
+    assert src.freed == []  # nothing waited on the link: no wake-up
     assert dst.received == [(1, packet)]
     assert sim.now == pytest.approx(20.48 + 30.0)
     assert link.bytes_carried == 512
     assert link.utilization(sim.now) == pytest.approx(20.48 / 50.48)
 
 
-def test_link_credit_return_takes_propagation_latency():
+def test_link_wakes_upstream_when_free_only_if_it_asked():
     sim = Simulator()
-    src, dst = _Sink(), _Sink()
+    src, dst = _Sink(sim), _Sink(sim)
+    link = _local_link(sim, src, dst)
+    src.waiting.append("request")  # waiting at send time: woken at the end
+    link.transmit(_packet())
+    sim.run()
+    assert src.freed == [(pytest.approx(20.48), 3)]
+
+    src.freed.clear()
+    src.waiting.clear()
+    link.transmit(_packet())
+    start = sim.now
+    busy_seen = []
+
+    def ask():
+        busy_seen.append(link.busy)
+        src.waiting.append("late request")
+        link.wake_when_free()
+        link.wake_when_free()  # idempotent
+
+    sim.schedule(10.0, ask)
+    sim.run()
+    assert busy_seen == [True]
+    assert src.freed == [(pytest.approx(start + 20.48), 3)]
+
+
+def test_link_busy_flips_at_the_free_slot_key():
+    sim = Simulator()
+    src, dst = _Sink(sim), _Sink(sim)
+    link = _local_link(sim, src, dst)
+    free_at = 20.48
+    seen = []
+    # The probe scheduled before the packet is sent shares the free slot's
+    # time but holds an earlier key; the one scheduled after holds a later.
+    sim.schedule_at(free_at, lambda: seen.append(("earlier seq", link.busy)))
+    link.transmit(_packet())
+    sim.schedule_at(free_at, lambda: seen.append(("later seq", link.busy)))
+    sim.run()
+    assert seen == [("earlier seq", True), ("later seq", False)]
+
+
+def test_link_credit_is_visible_at_t_plus_latency_without_waking_upstream():
+    sim = Simulator()
+    src, dst = _Sink(sim), _Sink(sim)
     link = Link(sim, src, 0, dst, 0, LinkKind.GLOBAL, 25.0, 300.0, 128)
+    src.tracker.consume(4)
+    link.return_credit(4)
+    seen = []
+
+    def probe():
+        seen.append((sim.now, src.tracker.available(4)))
+
+    sim.schedule(299.0, probe)
+    sim.schedule(300.0, probe)
+    sim.run()
+    assert seen == [(299.0, 1), (300.0, 2)]
+    assert src.credits == []  # nothing waited: no credit event
+    assert sim.now == pytest.approx(300.0)  # the drain still reaches the slot
+
+
+def test_link_credit_wakes_upstream_stalled_on_credits():
+    sim = Simulator()
+    src, dst = _Sink(sim), _Sink(sim)
+    link = Link(sim, src, 0, dst, 0, LinkKind.GLOBAL, 25.0, 300.0, 128)
+    src.tracker.consume(4)
+    src.tracker.consume(4)
+    src.waiting.append("request")  # link idle, request waiting: stalled
     link.return_credit(4)
     sim.run()
-    assert src.credits == [(0, 4)]
-    assert sim.now == pytest.approx(300.0)
+    assert src.credits == [(300.0, 0, 4)]
+    assert src.tracker.available(4) == 1
+
+
+def test_link_hands_in_flight_credits_to_upstream_that_asks():
+    sim = Simulator()
+    src, dst = _Sink(sim), _Sink(sim)
+    link = Link(sim, src, 0, dst, 0, LinkKind.GLOBAL, 25.0, 300.0, 128)
+    for vc in (1, 2, 2):
+        src.tracker.consume(vc)
+    link.return_credit(1)
+
+    def later():
+        link.return_credit(2)
+        link.return_credit(2)
+
+    def ask():
+        src.waiting.append("request")
+        link.wake_on_credits()
+
+    sim.schedule(100.0, later)
+    sim.schedule(350.0, ask)  # after the first credit landed
+    sim.run()
+    assert src.credits == [(400.0, 0, 2), (400.0, 0, 2)]
+    assert [src.tracker.available(vc) for vc in (1, 2)] == [2, 2]
 
 
 def test_link_rejects_invalid_parameters():
     sim = Simulator()
     with pytest.raises(ValueError):
-        Link(sim, _Sink(), 0, _Sink(), 0, LinkKind.LOCAL, 0.0, 30.0, 128)
+        Link(sim, _Sink(sim), 0, _Sink(sim), 0, LinkKind.LOCAL, 0.0, 30.0, 128)
     with pytest.raises(ValueError):
-        Link(sim, _Sink(), 0, _Sink(), 0, LinkKind.LOCAL, 25.0, -1.0, 128)
+        Link(sim, _Sink(sim), 0, _Sink(sim), 0, LinkKind.LOCAL, 25.0, -1.0, 128)

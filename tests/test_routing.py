@@ -132,25 +132,18 @@ def test_par_revises_minimal_decision_in_source_group():
 
 
 def test_qtable_update_moves_towards_sample():
-    table = QTable(0, initializer=lambda port, dest: 100.0)
+    table = QTable(0, lambda dest: [100.0] * 3)
     assert table.get(2, ("g", 1)) == pytest.approx(100.0)
     value = table.update(2, ("g", 1), 200.0, learning_rate=0.5)
     assert value == pytest.approx(150.0)
     assert table.updates == 1
+    assert table.row(("g", 1)) == [100.0, 100.0, 150.0]
+    assert table.snapshot()[(2, ("g", 1))] == 150.0
+    assert table.known_entries() == 3
     with pytest.raises(ValueError):
         table.update(2, ("g", 1), -1.0, 0.5)
     with pytest.raises(ValueError):
         table.update(2, ("g", 1), 1.0, 0.0)
-
-
-def test_qtable_best_picks_lowest_score():
-    table = QTable(0, initializer=lambda port, dest: {1: 50.0, 2: 10.0}[port])
-    port, score = table.best([(1, 0.0), (2, 0.0)], ("g", 3))
-    assert port == 2 and score == pytest.approx(10.0)
-    port, _ = table.best([(1, 0.0), (2, 100.0)], ("g", 3))
-    assert port == 1
-    with pytest.raises(ValueError):
-        table.best([], ("g", 3))
 
 
 def test_qadaptive_learns_from_feedback_during_traffic():

@@ -1,20 +1,31 @@
 """Pinned ``sim_digest`` regression test for the packet-level hot core.
 
-Every case below runs a small scenario and compares the sha256 of its
-sorted ``flatten_run`` rows — the same ``sim_digest`` formula the benchmark
-harness (``benchmarks/perf/perf_harness.py:digest``) records — against a
-pinned value, exactly, with no tolerances.  Recorded runs also pin their
-``trace_hash``, and the store case pins what a result store hands back.
+Every case below runs a small scenario and pins two things, exactly, with no
+tolerances:
 
-The pins are the values two independent implementations of the hot core
-agreed on bit for bit before one of them was folded away.  A change that
-moves any of them changes simulated behaviour; if that is intended, say so
-in the change and re-pin.
+* the sha256 of its sorted ``flatten_run`` rows *without* ``events_fired``
+  — the benchmark harness's ``sim_digest``
+  (``benchmarks/perf/perf_harness.py:digest``) minus that one row; these
+  are every simulated number of the run;
+* its ``events_fired``, separately.  It counts calendar events, which is a
+  property of how the kernel is built, not of what it simulates: a change
+  may move it without moving any digest.
+
+Recorded runs also pin their ``trace_hash``, and the store case pins what a
+result store hands back.
+
+Every digest was computed with a kernel that fired each credit return and
+link-free callback as its own event; most are also the values two
+independent implementations of that kernel agreed on bit for bit.  The
+reserved-slot kernel (see :mod:`repro.core.engine`) reproduces them all
+while firing far fewer events.  A change that moves any digest changes
+simulated behaviour; if that is intended, say so in the change and re-pin.
 
 Coverage: randomized tiny scenarios across all six routing algorithms,
 windowed offered-load runs, a staggered-arrival co-run, a registered preset,
-recorded traces under every algorithm, and scenario-store contents — plus
-the ``repro.backends`` surface the benchmark harness builds its runs with.
+a run that drains inside its window and one cut by its watchdog, recorded
+traces under every algorithm, and scenario-store contents — plus the
+``repro.backends`` surface the benchmark harness builds its runs with.
 """
 
 from __future__ import annotations
@@ -51,8 +62,9 @@ _APPS = ("Halo3D", "FFT3D", "LQCD", "Stencil5D", "UR", "shift")
 
 
 def digest(metrics: Dict[str, float]) -> str:
-    """sha256 of the sorted ``flatten_run`` rows of one run."""
-    blob = json.dumps(sorted(metrics.items()), separators=(",", ":"))
+    """sha256 of the sorted ``flatten_run`` rows of one run, ``events_fired`` aside."""
+    rows = sorted((key, value) for key, value in metrics.items() if key != "events_fired")
+    blob = json.dumps(rows, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -116,6 +128,17 @@ def tiny_table1(app: str, algorithm: str, seed: int) -> Scenario:
     )
 
 
+def bounded_scenario(app: str, **knobs: float) -> Scenario:
+    """A finite 16-rank job under PAR with a run bound from ``knobs``."""
+    config = SimulationConfig(system=tiny_system(), seed=5, **knobs).with_routing("par")
+    return Scenario(
+        name=f"bounded/{app}",
+        config=config,
+        jobs=(AppSpec(app, 16, {"scale": 0.05} if app == "FFT3D" else {}),),
+        placement="random",
+    )
+
+
 def store_scenario() -> Scenario:
     return loadcurve_scenario(
         "transpose",
@@ -129,29 +152,62 @@ def store_scenario() -> Scenario:
 
 
 RANDOM_DIGESTS = {
-    "rand/minimal/0/Stencil5D": "a4a90ee338bfc0a9ba78259d3a5b7035f6e330ca0df5da18f2dd6932ebbbc07e",
-    "rand/minimal/1/shift": "71e2568e2ee6b7e02d91e38e89b6dddaeb9178a5bcbeaad9cc963d5b3135d757",
-    "rand/valiant/0/FFT3D": "04b5cd039b5a4286f1150ed1f6d76f1698a850411f6abe22ca0b1cfb7162f6cf",
-    "rand/valiant/1/Stencil5D": "86f007fe20d552be302f730c83e5e9e3ff2b8059faccf3c9631e01a2d1c8b26b",
-    "rand/ugal-g/0/Halo3D": "3f2123703360dddcbaff6daacfd2effa3c3c5cc2fa30eede7536eaa01852526f",
-    "rand/ugal-g/1/Stencil5D": "402ca1a9b21ff64a2121ea571dfc801e6b08310aca66e444d5f0d5158b85b133",
-    "rand/ugal-n/0/FFT3D": "41adf87ed99e1c734d37777398db33b6781431169c0122d97e415344717f233e",
-    "rand/ugal-n/1/Halo3D": "d4a2977ce38af204b55c4a04be540eb66241c6789f60e66796ff573397e28bf7",
-    "rand/par/0/shift": "9b403841bef2037ddb38d8c3442e01ea6bbdcf37a5dde1618e65f309dbc512ff",
-    "rand/par/1/UR": "f4be37e4a631fe4f8381a295bd5a3004829db0e53f5ff2966b64fabfaffb7e5c",
-    "rand/q-adaptive/0/shift": "20b66302630ef2af5d2c8443148a5c9fe0971971a746ce995946297f27d2b758",
-    "rand/q-adaptive/1/shift": "4a526efcf00039c9801f677c5645a08e68d3669cd7545c57034b52ee77781372",
+    "rand/minimal/0/Stencil5D": "0bb70d6b7c2a8fd1d205215b2d57bb672063d27d990422c0ac14f068aa5803ca",
+    "rand/minimal/1/shift": "6569e83c03fe2860f7f865680fc04d42fa71ae1aa476545bcbf9070985825a26",
+    "rand/valiant/0/FFT3D": "afc63d0c9debcff0bb42f18cfa642a4ce58b31cb9a916b00afb12a210bcce31b",
+    "rand/valiant/1/Stencil5D": "7b491be614dd1529b407bd036280a96cef161fb334af84d5ed44a1c16aba2e26",
+    "rand/ugal-g/0/Halo3D": "13fd61d0bb809bc90569d597056a44f607917853316dfaddf87c670c799f2557",
+    "rand/ugal-g/1/Stencil5D": "8f2baeeb2f46a2df958817afce77722e1647f7ee7275fa8605c7f13e943da93a",
+    "rand/ugal-n/0/FFT3D": "4ac4f2a9598f6881a0850cf7c19d7a2abad402c6ff66cf34f9c82ff4ce3b27ec",
+    "rand/ugal-n/1/Halo3D": "cf0b445a99202973ef8e5c9922353209bef4e653d4eb3de0b75629b47fec0fac",
+    "rand/par/0/shift": "51093c5acfaae5eb5275a78a98e2701ba6b6002d7b1fabc6bc6c083052c0598b",
+    "rand/par/1/UR": "efa03fa521b6c19bbcea30f24614e95f3696d6ecf87d925a3683debdb279064f",
+    "rand/q-adaptive/0/shift": "4a4f62807e374d29a4213a18463a76f6aae5bea91ef9db6410f50cfed62bcb1a",
+    "rand/q-adaptive/1/shift": "8917847625c0f241c8b8e0c3e1dde5ffadfcfe6fa28d75cefe1ebce96c32fa93",
 }
 
 WINDOWED_DIGESTS = {
-    "minimal": "d1fd69b95dc4c3837940ab67242f05e732b3dcab523c617db3374c6b07816b0f",
-    "par": "3460bca4a5040357da23ae51a3915ea3e67159b83d16987b18cec3c058084af8",
-    "q-adaptive": "65b9c177a22deddbf9073448734c2030c85eeba2350a35179898e583087e8720",
+    "minimal": "194a9245b5cb5cca37a6bb31075294cf35b694191d408ea994b22cb7d34acef5",
+    "par": "644babe7f698efd3500ab2a4d681821df5f1f5b2ccc772263875447b3f74683f",
+    "q-adaptive": "6a8092dd8ad1614243b667fa8152f15bf6e0db671987157cba8cff902092833a",
 }
 
-STAGGERED_DIGEST = "c23391fbcd49cf23902bb7def132d9cce7f0586ec66a533b6b9856296a2ef6e0"
+STAGGERED_DIGEST = "30a19df26925f94d1dfe63778051c6b82533283c3f06eda8b83a6b04eb7db014"
 
-PRESET_DIGEST = "6e4cdcb941d1e5d34e62ac5ab8c28a68c2f066965e633ee0627998f5ba78bdd1"
+PRESET_DIGEST = "60d28dca24ad1bcb1169d7da8969e47f315ca4418b7caca327763360158bd484"
+
+#: Bounded runs: a measurement window that outlasts the job, so the run
+#: drains early and ``measurement_elapsed_ns`` is the time of the last
+#: logical event, a credit return nobody waits on; and a ``max_time_ns``
+#: watchdog that cuts the job mid-flight.
+BOUNDED_DIGESTS = {
+    "drained-window": "7e2c4b2c464685ec9c2f8c555719ec5ae849efa66e098b5dcaffa2ce51f90773",
+    "watchdog": "3ca1436feb5af254284bf9dd1b1147bf9c6de87ab05a78daaac50c6f3916720e",
+}
+
+#: ``events_fired`` per case, keyed like the digests above.
+EVENTS_FIRED = {
+    "rand/minimal/0/Stencil5D": 2968,
+    "rand/minimal/1/shift": 13610,
+    "rand/valiant/0/FFT3D": 624,
+    "rand/valiant/1/Stencil5D": 1978,
+    "rand/ugal-g/0/Halo3D": 1070,
+    "rand/ugal-g/1/Stencil5D": 972,
+    "rand/ugal-n/0/FFT3D": 2677,
+    "rand/ugal-n/1/Halo3D": 1209,
+    "rand/par/0/shift": 15315,
+    "rand/par/1/UR": 9153,
+    "rand/q-adaptive/0/shift": 5976,
+    "rand/q-adaptive/1/shift": 13734,
+    "windowed/minimal": 87398,
+    "windowed/par": 134504,
+    "windowed/q-adaptive": 139482,
+    "staggered": 1473,
+    "preset": 10883,
+    "drained-window": 3015,
+    "watchdog": 1466,
+    "store": 61015,
+}
 
 #: ``trace_hash`` of the one recorded Halo3D job, per routing algorithm.
 TRACE_HASHES = {
@@ -166,7 +222,7 @@ TRACE_HASHES = {
 #: ``(scenario_hash, digest of the stored metrics)`` of the store case.
 STORE_PIN = (
     "5fa79146d4385e670a2450df",
-    "9e30dbd160726978ed985c5816bfb6806461c6e89a6c9edc79f66cf9f7aea7d2",
+    "5e31461aff5f146805fdc82b18d56984218e8b45df15d2d8f2aed0f5d2954f72",
 )
 
 
@@ -180,6 +236,7 @@ def test_randomized_scenarios_digests(algorithm):
         flat = _flat(scenario)
         assert flat["packets_ejected"] > 0  # the pin is not vacuous
         assert digest(flat) == RANDOM_DIGESTS[scenario.name], scenario.name
+        assert flat["events_fired"] == EVENTS_FIRED[scenario.name], scenario.name
 
 
 @pytest.mark.parametrize("algorithm", ["minimal", "par", "q-adaptive"])
@@ -187,16 +244,35 @@ def test_windowed_offered_load_digests(algorithm):
     flat = _flat(windowed_scenario(algorithm), require_completion=False)
     assert flat["measured_packets_ejected"] > 0
     assert digest(flat) == WINDOWED_DIGESTS[algorithm]
+    assert flat["events_fired"] == EVENTS_FIRED[f"windowed/{algorithm}"]
 
 
 def test_staggered_arrivals_digest():
     flat = _flat(staggered_scenario())
     assert flat["execution_time_ns/Halo3D"] > 0 and flat["execution_time_ns/UR"] > 0
     assert digest(flat) == STAGGERED_DIGEST
+    assert flat["events_fired"] == EVENTS_FIRED["staggered"]
 
 
 def test_preset_scenario_digest():
-    assert digest(_flat(tiny_table1("LQCD", "par", seed=2))) == PRESET_DIGEST
+    flat = _flat(tiny_table1("LQCD", "par", seed=2))
+    assert digest(flat) == PRESET_DIGEST
+    assert flat["events_fired"] == EVENTS_FIRED["preset"]
+
+
+def test_bounded_run_digests():
+    window = bounded_scenario("FFT3D", measurement_ns=10_000_000.0).run()
+    flat = flatten_run(window)
+    assert window.sim.last_event_time > window.makespan_ns  # trailing credit returns
+    assert flat["measurement_elapsed_ns"] == window.sim.last_event_time
+    assert digest(flat) == BOUNDED_DIGESTS["drained-window"]
+    assert flat["events_fired"] == EVENTS_FIRED["drained-window"]
+
+    cut = bounded_scenario("shift", max_time_ns=3_000.0).run(require_completion=False)
+    flat = flatten_run(cut)
+    assert not cut.completed and cut.makespan_ns == cut.sim.now == 3_000.0
+    assert digest(flat) == BOUNDED_DIGESTS["watchdog"]
+    assert flat["events_fired"] == EVENTS_FIRED["watchdog"]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -235,3 +311,4 @@ def test_scenario_store_contents(tmp_path):
     assert stored.name == scenario.name
     assert stored.metrics == flatten_run(result)
     assert (scenario_hash(scenario), digest(stored.metrics)) == STORE_PIN
+    assert stored.metrics["events_fired"] == EVENTS_FIRED["store"]
