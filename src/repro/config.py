@@ -96,6 +96,8 @@ class SystemConfig:
             raise ValueError("packet size must be a whole number of flits")
         if self.num_vcs < 3:
             raise ValueError("at least 3 VCs are required for deadlock-free minimal routing")
+        if self.buffer_packets < 1:
+            raise ValueError("buffer capacity must be at least one packet")
 
     # ------------------------------------------------------------ derived
     @property

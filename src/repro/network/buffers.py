@@ -1,10 +1,11 @@
-"""Input buffers and credit bookkeeping.
+"""Credit bookkeeping.
 
 Routers are input-queued: each input port owns one FIFO per virtual channel
-(VC).  Credit-based flow control mirrors the buffers on the *downstream* side
-of every link: the upstream entity holds a credit counter per (output port,
-VC) initialized to the downstream buffer depth, decrements it when it forwards
-a packet and increments it when the downstream entity frees the slot.
+(VC), held by the router itself (``Router.queues``).  Credit-based flow
+control mirrors those buffers on the *downstream* side of every link: the
+upstream entity holds a credit counter per (output port, VC) initialized to
+the downstream buffer depth, decrements it when it forwards a packet and
+increments it when the downstream entity frees the slot.
 """
 
 from __future__ import annotations
@@ -13,75 +14,10 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.engine import Simulator
-from repro.network.packet import Packet
 
-__all__ = ["VcInputBuffer", "CreditTracker"]
+__all__ = ["CreditTracker"]
 
 _INF = float("inf")
-
-
-class VcInputBuffer:
-    """Per-(input port) buffer holding one FIFO per virtual channel."""
-
-    __slots__ = ("num_vcs", "capacity", "_queues", "_bytes")
-
-    def __init__(self, num_vcs: int, capacity_packets: int):
-        if num_vcs < 1:
-            raise ValueError("need at least one VC")
-        if capacity_packets < 1:
-            raise ValueError("buffer capacity must be at least one packet")
-        self.num_vcs = num_vcs
-        self.capacity = capacity_packets
-        self._queues: List[Deque[Packet]] = [deque() for _ in range(num_vcs)]
-        self._bytes = 0
-
-    def can_accept(self, vc: int) -> bool:
-        """Whether VC ``vc`` has a free slot."""
-        return len(self._queues[vc]) < self.capacity
-
-    def push(self, vc: int, packet: Packet) -> None:
-        """Append a packet to the VC FIFO.  Raises if the buffer would overflow.
-
-        Overflow indicates a flow-control bug (the upstream should never send
-        without a credit), so it is an error rather than a silent drop.
-        """
-        queue = self._queues[vc]
-        if len(queue) >= self.capacity:
-            raise OverflowError(
-                f"VC {vc} buffer overflow (capacity {self.capacity}); "
-                "credit flow control violated"
-            )
-        queue.append(packet)
-        self._bytes += packet.size_bytes
-
-    def head(self, vc: int) -> Optional[Packet]:
-        """Packet at the head of VC ``vc`` or ``None``."""
-        queue = self._queues[vc]
-        return queue[0] if queue else None
-
-    def pop(self, vc: int) -> Packet:
-        """Remove and return the head packet of VC ``vc``."""
-        packet = self._queues[vc].popleft()
-        self._bytes -= packet.size_bytes
-        return packet
-
-    def occupancy(self, vc: int) -> int:
-        """Number of packets queued on VC ``vc``."""
-        return len(self._queues[vc])
-
-    @property
-    def total_packets(self) -> int:
-        """Packets queued across all VCs."""
-        return sum(len(q) for q in self._queues)
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes queued across all VCs."""
-        return self._bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        occ = [len(q) for q in self._queues]
-        return f"VcInputBuffer(capacity={self.capacity}, occupancy={occ})"
 
 
 class CreditTracker:

@@ -27,7 +27,7 @@ straight away.  A link freed while a request waits is too.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Optional, Protocol, Sized, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Protocol, Sized, Tuple
 
 from repro.core.engine import Simulator
 from repro.core.events import EventKind
@@ -85,8 +85,9 @@ class Link:
     bandwidth_bytes_per_ns, latency_ns, flit_size:
         Physical parameters.
     stats:
-        Optional statistics collector; per-app traffic and busy time are
-        reported to it.
+        Optional statistics collector.  The link counts its own traffic and
+        registers with the collector's ``link_traffic`` view on its first
+        packet of each application.
     link_id:
         Stable identifier used by the statistics layer.
     """
@@ -107,7 +108,7 @@ class Link:
         "waiting",
         "busy_time",
         "bytes_carried",
-        "packets_carried",
+        "bytes_by_app",
         "_free_time",
         "_free_seq",
         "_free_armed",
@@ -151,8 +152,8 @@ class Link:
         self.busy_time = 0.0
         #: Cumulative payload bytes carried.
         self.bytes_carried = 0
-        #: Cumulative packets carried.
-        self.packets_carried = 0
+        #: The same bytes per application id (None until the first packet).
+        self.bytes_by_app: Optional[Dict[int, int]] = None
         # Reserved slot at which the current serialization ends, and whether
         # it has been pushed to the calendar.
         self._free_time = _NEVER
@@ -164,29 +165,31 @@ class Link:
     @property
     def busy(self) -> bool:
         """Whether a packet is still serializing at the current key."""
-        # Not Simulator.reached(free slot), inlined: routers ask on every grant.
+        # Not Simulator.reached(free slot), inlined: NICs ask on every injection.
         sim = self.sim
         free = self._free_time
         now = sim.now
         return free > now or (free == now and self._free_seq > sim.now_seq)
 
-    def serialization_time(self, packet: Packet) -> float:
-        """Flit-quantized serialization time of ``packet`` on this link."""
-        return (packet.num_flits * self.flit_size) / self.bandwidth
-
     # reprolint: hot
     def transmit(self, packet: Packet) -> None:
         """Start serializing ``packet``.  The link must be idle."""
-        if self.busy:
-            raise RuntimeError(f"link {self.link_id} is busy; arbitration bug upstream")
         sim = self.sim
         now = sim.now
-        ser = self.serialization_time(packet)
+        free = self._free_time
+        if free > now or (free == now and self._free_seq > sim.now_seq):
+            raise RuntimeError(f"link {self.link_id} is busy; arbitration bug upstream")
+        # Flit-quantized serialization time.
+        ser = (packet.num_flits * self.flit_size) / self.bandwidth
         self.busy_time += ser
-        self.bytes_carried += packet.size_bytes
-        self.packets_carried += 1
-        if self.stats is not None:
-            self.stats.record_link_traffic(self, packet)
+        size = packet.size_bytes
+        self.bytes_carried += size
+        app_id = packet.app_id
+        bytes_by_app = self.bytes_by_app
+        if bytes_by_app is not None and app_id in bytes_by_app:
+            bytes_by_app[app_id] += size
+        else:
+            self._first_packet_of(app_id, size)
         free = now + ser
         seq = sim.reserve(free)
         self._free_time = free
@@ -200,6 +203,14 @@ class Link:
             (self.dst_port, packet),
             _DELIVERY,
         )
+
+    def _first_packet_of(self, app_id: int, size: int) -> None:
+        """Count the first ``size`` bytes of ``app_id``; register with ``stats.link_traffic``."""
+        if self.bytes_by_app is None:
+            self.bytes_by_app = {}
+        self.bytes_by_app[app_id] = size
+        if self.stats is not None and self.link_id is not None:
+            self.stats.link_traffic.register(self, app_id)
 
     def wake_when_free(self) -> None:
         """Call the upstream's ``link_free`` when the current packet is sent."""
@@ -215,10 +226,13 @@ class Link:
     def return_credit(self, vc: int) -> None:
         """Send one credit back to the upstream entity (takes ``latency`` ns)."""
         sim = self.sim
-        time = sim.now + self.latency
+        now = sim.now
+        time = now + self.latency
         seq = sim.reserve(time)
-        if self.waiting and not self.busy:
-            # The upstream is stalled on credits right now: wake it.
+        free = self._free_time
+        if self.waiting and (free < now or (free == now and self._free_seq <= sim.now_seq)):
+            # The link is free (not busy, inlined) and the upstream is
+            # stalled on credits right now: wake it.
             sim.push_reserved(time, seq, self.src.credit_returned, (self.src_port, vc), _CREDIT)
         else:
             self.credits.reserve(time, seq, vc)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
-from repro.network.buffers import CreditTracker, VcInputBuffer
+from repro.network.buffers import CreditTracker
 from repro.network.link import Link
 from repro.network.packet import Packet
 from repro.network.topology import DragonflyTopology, PortKind
@@ -59,15 +59,15 @@ class Router:
         "stats",
         "num_ports",
         "num_vcs",
-        "in_buffers",
+        "queues",
         "in_links",
         "out_links",
         "credits",
         "out_requests",
-        "packets_forwarded",
         "_router_of_node",
         "_terminal_port_of_node",
         "_serialization_ns",
+        "_capacity",
     )
 
     def __init__(
@@ -95,9 +95,11 @@ class Router:
         self._router_of_node = topology.router_of_node_table
         self._terminal_port_of_node = topology.terminal_port_of_node_table
         self._serialization_ns = system.packet_serialization_ns
+        self._capacity = system.buffer_packets
 
-        self.in_buffers: List[VcInputBuffer] = [
-            VcInputBuffer(self.num_vcs, system.buffer_packets) for _ in range(self.num_ports)
+        #: Input FIFOs: ``queues[port][vc]``, each ``buffer_packets`` deep.
+        self.queues: List[List[Deque[Packet]]] = [
+            [deque() for _ in range(self.num_vcs)] for _ in range(self.num_ports)
         ]
         #: Link delivering packets *into* each input port (None until wired).
         self.in_links: List[Optional[Link]] = [None] * self.num_ports
@@ -112,7 +114,6 @@ class Router:
         self.out_requests: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(self.num_ports)
         ]
-        self.packets_forwarded = 0
 
     # ------------------------------------------------------------- wiring
     def attach_output_link(self, port: int, link: Link) -> None:
@@ -140,7 +141,10 @@ class Router:
         the port.  This is the queue-occupancy signal used by the adaptive
         routing family.
         """
-        return self.credits[port].used + len(self.out_requests[port])
+        credits = self.credits[port]
+        if credits._due <= self.sim.now:
+            credits._settle()
+        return credits._used + len(self.out_requests[port])
 
     def queue_delay_estimate(self, port: int) -> float:
         """Estimated queueing delay (ns) a packet would see at ``port``."""
@@ -149,26 +153,39 @@ class Router:
     # ------------------------------------------------------------- receive
     # reprolint: hot
     def receive_packet(self, in_port: int, packet: Packet) -> None:
-        """A packet arrived on ``in_port`` (called by the upstream link)."""
+        """A packet arrived on ``in_port`` (called by the upstream link).
+
+        The first call of a hop's chain ``receive_packet → _route_head →
+        _try_output → _grant``; each passes on the packet, link and tracker.
+        """
         if packet.trace is not None:
             packet.trace.append(self.router_id)
-        if self.routing is not None:
-            self.routing.on_packet_received(self, in_port, packet)
+        routing = self.routing
+        if routing is not None:
+            routing.on_packet_received(self, in_port, packet)
         vc = packet.vc
-        buffer = self.in_buffers[in_port]
-        buffer.push(vc, packet)
-        if buffer.occupancy(vc) == 1:
-            self._route_head(in_port, vc)
+        queue = self.queues[in_port][vc]
+        if not queue:
+            queue.append(packet)
+            self._route_head(in_port, vc, packet)
+            return
+        capacity = self._capacity
+        if len(queue) >= capacity:
+            # The upstream sent without a credit: a flow-control bug, so an
+            # error rather than a silent drop.
+            raise OverflowError(
+                f"VC {vc} buffer overflow (capacity {capacity}); "
+                "credit flow control violated"
+            )
+        queue.append(packet)
 
     # -------------------------------------------------------------- routing
     # reprolint: hot
-    def _route_head(self, in_port: int, vc: int) -> None:
-        """Compute the output port for the new head packet of (in_port, vc)."""
-        packet = self.in_buffers[in_port].head(vc)
-        assert packet is not None, "route_head called on empty queue"
-        dst_router = self._router_of_node[packet.dst_node]
-        if dst_router == self.router_id:
-            out_port = self._terminal_port_of_node[packet.dst_node]
+    def _route_head(self, in_port: int, vc: int, packet: Packet) -> None:
+        """Compute the output port of ``packet``, the new head of (in_port, vc)."""
+        dst_node = packet.dst_node
+        if self._router_of_node[dst_node] == self.router_id:
+            out_port = self._terminal_port_of_node[dst_node]
             next_vc = 0
         else:
             # Note: sending a packet back out of the port it arrived on is
@@ -187,68 +204,80 @@ class Router:
         """Grant the output port to a waiting head packet if possible.
 
         When no grant is possible, ask the link to wake this port again at
-        the next change that could allow one.
+        the next change that could allow one.  This is also the link's
+        ``link_free`` callback.
         """
         requests = self.out_requests[out_port]
         link = self.out_links[out_port]
         if not requests or link is None:
             return
-        if link.busy:
+        sim = self.sim
+        now = sim.now
+        # Link.busy, inlined.
+        free = link._free_time
+        if free > now or (free == now and link._free_seq > sim.now_seq):
             link.wake_when_free()
             return
         credits = self.credits[out_port]
-        in_buffers = self.in_buffers
+        if credits._due <= now:
+            credits._settle()
+        available = credits._credits
+        queues = self.queues
         for _ in range(len(requests)):
             in_port, vc = requests[0]
-            packet = in_buffers[in_port].head(vc)
-            assert packet is not None and packet.out_port == out_port
-            if credits.has_credit(packet.next_vc):
+            packet = queues[in_port][vc][0]
+            if available[packet.next_vc] > 0:
                 requests.popleft()
-                self._grant(in_port, vc, out_port, packet)
+                self._grant(in_port, vc, packet, link, credits)
                 return
             # Head-of-line packet cannot advance on its VC: rotate so other
             # inputs contending for this port still make progress.
             requests.rotate(-1)
         link.wake_on_credits()
 
-    # reprolint: hot
-    def _grant(self, in_port: int, vc: int, out_port: int, packet: Packet) -> None:
-        """Move a head packet from its input buffer onto the output link."""
-        popped = self.in_buffers[in_port].pop(vc)
-        assert popped is packet
-        self.credits[out_port].consume(packet.next_vc)
+    link_free = _try_output
 
-        # request_time == 0.0 is a legitimate timestamp (packets routed at
-        # t=0), so test against None rather than falsiness.
-        request_time = packet.request_time
-        stall = self.sim.now - request_time if request_time is not None else 0.0
+    # reprolint: hot
+    def _grant(
+        self, in_port: int, vc: int, packet: Packet, link: Link, credits: CreditTracker
+    ) -> None:
+        """Move ``packet``, head of (in_port, vc), onto the output ``link``.
+
+        ``credits`` is the tracker of the link's downstream buffer, already
+        settled at the current key.
+        """
+        next_vc = packet.next_vc
+        available = credits._credits
+        if available[next_vc] <= 0:
+            raise RuntimeError(f"credit underflow on VC {next_vc}")
+        available[next_vc] -= 1
+        credits._used += 1
+        queue = self.queues[in_port][vc]
+        queue.popleft()
+
         stats = self.stats
         if stats is not None:
-            stats.record_port_stall(self, out_port, stall, packet.app_id)
-            stats.record_hop(self, in_port, out_port, packet)
+            stall = self.sim.now - packet.request_time
+            if stall > 0:
+                stats.record_port_stall(self, packet.out_port, stall, packet.app_id)
 
-        packet.vc = packet.next_vc
+        packet.vc = next_vc
         packet.hop_count += 1
         packet.out_port = None
         packet.next_vc = None
-        self.packets_forwarded += 1
 
         # Free the slot in our own input buffer: return a credit upstream.
         in_link = self.in_links[in_port]
         if in_link is not None:
             in_link.return_credit(vc)
 
-        self.out_links[out_port].transmit(packet)
+        link.transmit(packet)
 
         # The next packet on this (port, VC) becomes head and gets routed now.
-        if self.in_buffers[in_port].occupancy(vc) > 0:
-            self._route_head(in_port, vc)
+        if queue:
+            self._route_head(in_port, vc, queue[0])
 
     # ------------------------------------------------------------ callbacks
-    def link_free(self, out_port: int) -> None:
-        """Output link finished serializing: try to grant the next packet."""
-        self._try_output(out_port)
-
     def credit_returned(self, out_port: int, vc: int) -> None:
         """A credit for (out_port, vc) arrived while a request waits on it."""
         self.credits[out_port].release(vc)
@@ -258,7 +287,7 @@ class Router:
     @property
     def buffered_packets(self) -> int:
         """Packets currently waiting in this router's input buffers."""
-        return sum(buf.total_packets for buf in self.in_buffers)
+        return sum(len(queue) for port in self.queues for queue in port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Router(id={self.router_id}, group={self.group}, buffered={self.buffered_packets})"

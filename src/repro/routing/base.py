@@ -139,10 +139,6 @@ class RoutingAlgorithm(abc.ABC):
         local = int(self.rng.integers(self.topology.routers_per_group))
         return self.topology.router_in_group(group, local)
 
-    def occupancy(self, router: "Router", port: int) -> int:
-        """Queue-occupancy congestion estimate of an output port (packets)."""
-        return router.output_occupancy(port)
-
     def best_nonminimal(
         self, router: "Router", packet: Packet, groups: Sequence[int]
     ) -> Tuple[int, int, int]:
@@ -156,7 +152,7 @@ class RoutingAlgorithm(abc.ABC):
         best: Tuple[int, int, int] | None = None
         for group in groups:
             port = self.port_toward_group(router, group)
-            occ = self.occupancy(router, port)
+            occ = router.output_occupancy(port)
             if best is None or occ < best[2]:
                 best = (group, port, occ)
         return best

@@ -43,7 +43,7 @@ class ParRouting(UgalNRouting):
             return
 
         min_port = self.minimal_port(router, packet.dst_node)
-        q_min = self.occupancy(router, min_port)
+        q_min = router.output_occupancy(min_port)
         groups = self.sample_intermediate_groups(
             router, packet, self.config.nonminimal_candidates
         )

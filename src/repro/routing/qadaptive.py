@@ -54,6 +54,7 @@ class QAdaptiveRouting(RoutingAlgorithm):
         self._tables: Dict[int, QTable] = {}
         #: Total feedback signals applied (observability / tests).
         self.feedback_count = 0
+        self._learning_rate = config.q_learning_rate
         system = network.config.system
         self._serialization_ns = system.packet_serialization_ns
         #: Remaining time once the packet sits at its destination router.
@@ -151,11 +152,15 @@ class QAdaptiveRouting(RoutingAlgorithm):
             serialization = self._serialization_ns
             credits = router.credits
             requests = router.out_requests
+            now = router.sim.now
             best_score = float("inf")
             choice = candidates[0]
             for candidate in candidates:
                 port = candidate[0]
-                occupancy = credits[port].used + len(requests[port])
+                tracker = credits[port]
+                if tracker._due <= now:
+                    tracker._settle()
+                occupancy = tracker._used + len(requests[port])
                 score = weight * (occupancy * serialization) + row[port]
                 if score < best_score:
                     best_score = score
@@ -183,26 +188,36 @@ class QAdaptiveRouting(RoutingAlgorithm):
         """
         topo = self.topology
         dst_router = topo.router_of_node_table[packet.dst_node]
+        return self._estimate(router, dst_router, topo.group_of_router_table[dst_router])
+
+    # reprolint: hot
+    def _estimate(self, router: "Router", dst_router: int, dst_group: int) -> float:
+        """:meth:`estimate_remaining` towards ``dst_router`` in ``dst_group``."""
         if dst_router == router.router_id:
             # Only the terminal hop remains.
             return self._terminal_remaining
-        dst_group = topo.group_of_router_table[dst_router]
         if dst_group == router.group:
             row = self.table_for(router).row(("r", dst_router))
             ports = self._local_ports
         else:
             row = self.table_for(router).row(("g", dst_group))
             ports = self._router_ports
+        # Router.output_occupancy(port), inlined.
         weight_ns = self.config.q_queue_weight * self._serialization_ns
         credits = router.credits
         requests = router.out_requests
+        now = router.sim.now
         best = float("inf")
         for port in ports:
-            score = weight_ns * (credits[port].used + len(requests[port])) + row[port]
+            tracker = credits[port]
+            if tracker._due <= now:
+                tracker._settle()
+            score = weight_ns * (tracker._used + len(requests[port])) + row[port]
             if score < best:
                 best = score
         return best
 
+    # reprolint: hot
     def on_packet_received(self, router: "Router", in_port: int, packet: Packet) -> None:
         """Send the delivery-time feedback for this hop back to the sender."""
         in_link = router.in_links[in_port]
@@ -212,19 +227,32 @@ class QAdaptiveRouting(RoutingAlgorithm):
         # Feedback only flows between routers; NIC injections carry no Q-value.
         if not isinstance(sender, _Router):
             return
-        if packet.request_time is None:
+        request_time = packet.request_time
+        if request_time is None:
             return
-        now = router.sim.now
-        sample = (now - packet.request_time) + self.estimate_remaining(router, packet)
-        router.sim.push(
+        topo = self.topology
+        dst_router = topo.router_of_node_table[packet.dst_node]
+        dst_group = topo.group_of_router_table[dst_router]
+        sim = router.sim
+        now = sim.now
+        sample = (now - request_time) + self._estimate(router, dst_router, dst_group)
+        if sample < 0:
+            raise ValueError("a delivery-time sample cannot be negative")
+        # The sender's key for this destination (see _dest_key).
+        dest = ("r", dst_router) if dst_group == sender.group else ("g", dst_group)
+        table = self.table_for(sender)
+        sim.push(
             now + in_link.latency,
             self._apply_feedback,
-            (sender, in_link.src_port, self._dest_key(sender, packet), sample),
+            (table, table.row(dest), in_link.src_port, sample),
             _FEEDBACK,
         )
 
-    def _apply_feedback(self, sender: "Router", port: int, dest: DestKey, sample: float) -> None:
-        self.table_for(sender).update(port, dest, sample, self.config.q_learning_rate)
+    def _apply_feedback(self, table: QTable, row: List[float], port: int, sample: float) -> None:
+        """Fold ``sample`` into ``row[port]`` of ``table`` (see :meth:`QTable.update`)."""
+        rate = self._learning_rate
+        row[port] = (1.0 - rate) * row[port] + rate * sample
+        table.updates += 1
         self.feedback_count += 1
 
     # ------------------------------------------------------------------ misc

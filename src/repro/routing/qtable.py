@@ -52,12 +52,10 @@ class QTable:
         """Blend a new delivery-time ``sample`` into the estimate.
 
         Standard exponential moving average update
-        ``Q ← (1 - α) Q + α · sample``; returns the new value.
+        ``Q ← (1 - α) Q + α · sample``; returns the new value.  The caller
+        guarantees ``sample >= 0`` and ``0 < learning_rate <= 1``
+        (``RoutingConfig`` validates the rate).
         """
-        if sample < 0:
-            raise ValueError("a delivery-time sample cannot be negative")
-        if not 0.0 < learning_rate <= 1.0:
-            raise ValueError("learning rate must be in (0, 1]")
         row = self.row(dest)
         new = (1.0 - learning_rate) * row[port] + learning_rate * sample
         row[port] = new

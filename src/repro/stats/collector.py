@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
-from repro.network.link import Link, LinkKind
+from repro.network.link import LinkKind
 from repro.network.packet import Message, Packet
 from repro.stats.appstats import ApplicationRecord
 from repro.stats.counters import LinkTrafficCounter, PortStallCounter
@@ -74,6 +74,7 @@ class StatsCollector:
         self.latency_series: Dict[int, BinnedSeries] = {}
 
         self.port_stall = PortStallCounter()
+        #: Per-link traffic: a view over the links, which count it themselves.
         self.link_traffic = LinkTrafficCounter()
 
         #: Per-packet records (only if ``config.record_packets``).
@@ -178,9 +179,7 @@ class StatsCollector:
 
     # reprolint: hot
     def record_port_stall(self, router: "Router", port: int, stall_ns: float, app_id: int) -> None:
-        """Charge head-of-queue blocking time to a router output port."""
-        if stall_ns <= 0:
-            return
+        """Charge ``stall_ns`` > 0 of head-of-queue blocking to a router output port."""
         link = router.out_links[port]
         if link is not None:
             kind = link.kind
@@ -191,18 +190,6 @@ class StatsCollector:
             # terminal-port (ejection) stalls.
             kind = LinkKind[router.topology.port_kind(port).name]
         self.port_stall.add(router.router_id, port, kind, stall_ns, app_id)
-
-    def record_hop(self, router: "Router", in_port: int, out_port: int, packet: Packet) -> None:
-        """Hook for per-hop tracing; aggregate counters only by default."""
-        # Per-hop recording is intentionally cheap: detailed link traffic is
-        # recorded by the link itself in record_link_traffic().
-
-    # reprolint: hot
-    def record_link_traffic(self, link: Link, packet: Packet) -> None:
-        """A packet was serialized onto ``link``."""
-        if link.link_id is None:
-            return
-        self.link_traffic.add(link.link_id, link.kind, packet.size_bytes, packet.app_id)
 
     # ------------------------------------------------------------ summaries
     def packet_latencies(self, app_id: Optional[int] = None) -> np.ndarray:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from repro.network.link import LinkKind
+from repro.network.link import Link, LinkKind
 
 __all__ = ["PortStallCounter", "LinkTrafficCounter"]
 
@@ -69,36 +69,38 @@ class PortStallCounter:
 
 
 class LinkTrafficCounter:
-    """Bytes carried per directed link, total and per application."""
+    """Bytes carried per directed link, total and per application.
+
+    A read-only view: every link counts its own bytes (``Link.bytes_carried``
+    and ``Link.bytes_by_app``) and registers here when it carries its first
+    packet of each application.  Links are listed in the order they first
+    carried traffic, each application's links in the order they first
+    carried that application's traffic.
+    """
 
     def __init__(self) -> None:
-        self._bytes: Dict[LinkKey, int] = defaultdict(int)
-        self._bytes_app: Dict[Tuple[LinkKey, int], int] = defaultdict(int)
-        self._kind: Dict[LinkKey, LinkKind] = {}
+        self._links: Dict[LinkKey, Link] = {}
+        self._app_links: Dict[int, List[Link]] = {}
 
-    def add(self, key: LinkKey, kind: LinkKind, num_bytes: int, app_id: int) -> None:
-        """Record ``num_bytes`` carried by the link identified by ``key``."""
-        self._bytes[key] += num_bytes
-        self._bytes_app[(key, app_id)] += num_bytes
-        self._kind[key] = kind
+    def register(self, link: Link, app_id: int) -> None:
+        """``link`` carried its first packet of ``app_id``."""
+        self._links.setdefault(link.link_id, link)
+        self._app_links.setdefault(app_id, []).append(link)
 
     def bytes_on(self, key: LinkKey) -> int:
         """Total bytes carried by one link."""
-        return self._bytes.get(key, 0)
+        link = self._links.get(key)
+        return 0 if link is None else link.bytes_carried
 
     def by_link(self, kind: LinkKind | None = None) -> Dict[LinkKey, int]:
         """Per-link byte totals, optionally restricted to one link class."""
-        if kind is None:
-            return dict(self._bytes)
-        return {k: v for k, v in self._bytes.items() if self._kind.get(k) == kind}
+        links = self._links.items()
+        return {k: link.bytes_carried for k, link in links if kind is None or link.kind == kind}
 
     def by_app(self, app_id: int) -> Dict[LinkKey, int]:
         """Per-link byte totals for one application."""
-        out: Dict[LinkKey, int] = {}
-        for (key, app), value in self._bytes_app.items():
-            if app == app_id:
-                out[key] = out.get(key, 0) + value
-        return out
+        links = self._app_links.get(app_id, ())
+        return {link.link_id: link.bytes_by_app[app_id] for link in links}
 
     def total_bytes(self, kind: LinkKind | None = None) -> int:
         """Total bytes over all links of a class (or all links)."""
@@ -106,4 +108,5 @@ class LinkTrafficCounter:
 
     def kind_of(self, key: LinkKey) -> LinkKind | None:
         """Link class of ``key`` if it has carried traffic."""
-        return self._kind.get(key)
+        link = self._links.get(key)
+        return None if link is None else link.kind

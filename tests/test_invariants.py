@@ -9,8 +9,8 @@ application and synthetic workloads (with and without staggered arrivals):
   delivered exactly once, and the network drains completely;
 * **credit/buffer conservation** — flow-control credits never go negative
   or exceed the downstream buffer depth (enforced at runtime by
-  ``CreditTracker``/``VcInputBuffer`` raising), and every credit is returned
-  once the run completes;
+  ``CreditTracker`` and the router's FIFO overflow check raising), and
+  every credit is returned once the run completes;
 * **monotone simulator clock** — fired-event timestamps never decrease.
 
 Randomness is stdlib-only (``random.Random`` with fixed seeds), so a failure

@@ -1,11 +1,16 @@
-"""Tests for packets, VC buffers, credit trackers and the link model."""
+"""Tests for packets, router FIFOs, credit trackers and the link model."""
+
+import re
 
 import pytest
 
+from repro.config import SimulationConfig, tiny_system
 from repro.core.engine import Simulator
-from repro.network.buffers import CreditTracker, VcInputBuffer
+from repro.network.buffers import CreditTracker
 from repro.network.link import Link, LinkKind
 from repro.network.packet import Message, MessageKind, Packet
+from repro.network.router import Router
+from repro.network.topology import DragonflyTopology
 
 
 # ----------------------------------------------------------------- packets
@@ -46,23 +51,7 @@ def test_packet_latency_requires_both_timestamps():
     assert packet.latency == pytest.approx(25.0)
 
 
-# ----------------------------------------------------------------- buffers
-def test_vc_buffer_fifo_and_capacity():
-    buffer = VcInputBuffer(num_vcs=2, capacity_packets=2)
-    message = Message(0, 1, 2048)
-    packets = message.segment(512, 128)
-    buffer.push(0, packets[0])
-    buffer.push(0, packets[1])
-    assert buffer.occupancy(0) == 2
-    assert not buffer.can_accept(0)
-    assert buffer.can_accept(1)
-    with pytest.raises(OverflowError):
-        buffer.push(0, packets[2])
-    assert buffer.pop(0) is packets[0]
-    assert buffer.head(0) is packets[1]
-    assert buffer.total_bytes == packets[1].size_bytes
-
-
+# ----------------------------------------------------------------- credits
 def test_credit_tracker_consume_release_cycle():
     credits = CreditTracker(Simulator(), num_vcs=3, initial_credits=2)
     assert credits.available(1) == 2
@@ -156,7 +145,7 @@ def test_link_serialization_and_delivery_timing():
     packet = _packet()
     link.transmit(packet)
     assert link.busy
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="is busy; arbitration bug upstream"):
         link.transmit(packet)
     sim.run()
     # 512 B at 25 B/ns -> 20.48 ns serialization, then 30 ns propagation.
@@ -271,3 +260,68 @@ def test_link_rejects_invalid_parameters():
         Link(sim, _Sink(sim), 0, _Sink(sim), 0, LinkKind.LOCAL, 0.0, 30.0, 128)
     with pytest.raises(ValueError):
         Link(sim, _Sink(sim), 0, _Sink(sim), 0, LinkKind.LOCAL, 25.0, -1.0, 128)
+
+
+# ------------------------------------------------ router FIFOs and guards
+def _router(buffer_packets=2):
+    """Router 0 of the tiny system, unwired, with ``buffer_packets``-deep FIFOs."""
+    config = SimulationConfig(system=tiny_system().scaled(buffer_packets=buffer_packets))
+    topology = DragonflyTopology(config.system)
+    sim = Simulator()
+    return sim, topology, Router(sim, topology, config, router_id=0)
+
+
+def _packets_to(topology, router_id, count):
+    """``count`` packets bound for a node attached to ``router_id``."""
+    dst = next(n for n in range(topology.num_nodes) if topology.router_of_node(n) == router_id)
+    src = next(n for n in range(topology.num_nodes) if topology.router_of_node(n) != router_id)
+    return Message(src, dst, 512 * count).segment(512, 128)
+
+
+def test_router_fifo_order_and_capacity():
+    sim, topology, router = _router(buffer_packets=2)
+    packets = _packets_to(topology, 0, 3)
+    in_port = 4  # a router-to-router port; the output is the terminal port
+    router.receive_packet(in_port, packets[0])
+    router.receive_packet(in_port, packets[1])
+    queue = router.queues[in_port][0]
+    assert list(queue) == packets[:2]
+    assert not router.queues[in_port][1]
+    assert router.buffered_packets == 2
+    # Only the head is routed: it alone requests its output port.
+    out_port = topology.terminal_port_of_node_table[packets[0].dst_node]
+    assert packets[0].out_port == out_port and packets[1].out_port is None
+    assert list(router.out_requests[out_port]) == [(in_port, 0)]
+
+    with pytest.raises(OverflowError, match=re.escape(
+        "VC 0 buffer overflow (capacity 2); credit flow control violated"
+    )):
+        router.receive_packet(in_port, packets[2])
+
+    # Wire the output: the head leaves, and the next packet becomes head.
+    sink = _Sink(sim)
+    link = Link(sim, router, out_port, sink, 0, LinkKind.TERMINAL, 25.0, 10.0, 128)
+    router.attach_output_link(out_port, link)
+    router.link_free(out_port)
+    assert list(queue) == [packets[1]]
+    assert packets[0].hop_count == 1 and link.busy
+    assert list(router.out_requests[out_port]) == [(in_port, 0)]
+    sim.run()
+    assert [packet for _, packet in sink.received] == packets[:2]
+    assert router.buffered_packets == 0
+
+
+def test_grant_without_credit_raises_underflow():
+    sim, topology, router = _router()
+    packet = _packets_to(topology, 0, 1)[0]
+    out_port = topology.terminal_port_of_node_table[packet.dst_node]
+    credits = router.credits[out_port]
+    while credits.has_credit(0):
+        credits.consume(0)
+    router.receive_packet(4, packet)  # unwired output: the request waits
+    link = Link(sim, router, out_port, _Sink(sim), 0, LinkKind.TERMINAL, 25.0, 10.0, 128)
+    router.attach_output_link(out_port, link)
+    router.link_free(out_port)  # no credit: arbitration does not grant
+    assert list(router.queues[4][0]) == [packet]
+    with pytest.raises(RuntimeError, match="credit underflow on VC 0"):
+        router._grant(4, 0, packet, link, credits)

@@ -8,11 +8,13 @@ from repro.config import SimulationConfig, tiny_system
 from repro.core.engine import Simulator
 from repro.metrics.interference import InterferenceSummary, interference_summary
 from repro.metrics.latency import LatencySummary
-from repro.network.link import LinkKind
+from repro.network.buffers import CreditTracker
+from repro.network.link import Link, LinkKind
+from repro.network.packet import Message
 from repro.placement import ContiguousPlacement, NodeAllocator, RandomPlacement, create_placement
 from repro.stats.appstats import ApplicationRecord
 from repro.stats.collector import StatsCollector
-from repro.stats.counters import LinkTrafficCounter, PortStallCounter
+from repro.stats.counters import PortStallCounter
 from repro.stats.timeseries import BinnedSeries
 
 
@@ -116,16 +118,45 @@ def test_port_stall_counter_aggregations():
         counter.add(0, 0, LinkKind.LOCAL, -1.0, 0)
 
 
+class _Endpoint:
+    """Upstream/downstream stub: the link only needs these two calls."""
+
+    def __init__(self, sim):
+        self.tracker = CreditTracker(sim, 1, 1)
+
+    def output_state(self, port):
+        return self.tracker, ()
+
+    def receive_packet(self, port, packet):
+        pass
+
+
 def test_link_traffic_counter_per_app_attribution():
-    counter = LinkTrafficCounter()
-    counter.add(("R", 0, 5), LinkKind.GLOBAL, 512, app_id=0)
-    counter.add(("R", 0, 5), LinkKind.GLOBAL, 512, app_id=1)
-    counter.add(("R", 3, 2), LinkKind.LOCAL, 256, app_id=0)
-    assert counter.bytes_on(("R", 0, 5)) == 1024
+    sim = Simulator()
+    collector = StatsCollector(sim, SimulationConfig(system=tiny_system()))
+    end = _Endpoint(sim)
+
+    def link(kind, key):
+        return Link(sim, end, 0, end, 0, kind, 25.0, 10.0, 128, stats=collector, link_id=key)
+
+    glob, local = link(LinkKind.GLOBAL, ("R", 0, 5)), link(LinkKind.LOCAL, ("R", 3, 2))
+    unnamed = link(LinkKind.LOCAL, None)  # no id: counted on the link, not listed
+    for carrier, size, app_id in ((glob, 512, 1), (local, 256, 0), (glob, 512, 0),
+                                  (unnamed, 128, 0)):
+        carrier.transmit(Message(0, 1, size, app_id=app_id).segment(512, 128)[0])
+        sim.run()
+    counter = collector.link_traffic
+    assert counter.bytes_on(("R", 0, 5)) == glob.bytes_carried == 1024
+    assert counter.bytes_on(("R", 9, 9)) == 0
     assert counter.total_bytes() == 1280
     assert counter.total_bytes(LinkKind.GLOBAL) == 1024
-    assert counter.by_app(0) == {("R", 0, 5): 512, ("R", 3, 2): 256}
+    # Links in the order they first carried traffic, per app likewise.
+    assert list(counter.by_link().items()) == [(("R", 0, 5), 1024), (("R", 3, 2), 256)]
+    assert list(counter.by_app(0).items()) == [(("R", 3, 2), 256), (("R", 0, 5), 512)]
+    assert counter.by_app(1) == {("R", 0, 5): 512} and counter.by_app(2) == {}
     assert counter.kind_of(("R", 3, 2)) == LinkKind.LOCAL
+    assert counter.kind_of(("R", 9, 9)) is None
+    assert unnamed.bytes_by_app == {0: 128}
 
 
 # ---------------------------------------------------------------- collector

@@ -67,6 +67,8 @@ def test_invalid_system_shapes_rejected():
         SystemConfig(packet_size_bytes=500, flit_size_bytes=128)
     with pytest.raises(ValueError):
         SystemConfig(num_vcs=1)
+    with pytest.raises(ValueError, match="at least one packet"):
+        SystemConfig(buffer_packets=0)
 
 
 def test_system_config_is_frozen_and_scalable():

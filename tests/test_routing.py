@@ -140,10 +140,6 @@ def test_qtable_update_moves_towards_sample():
     assert table.row(("g", 1)) == [100.0, 100.0, 150.0]
     assert table.snapshot()[(2, ("g", 1))] == 150.0
     assert table.known_entries() == 3
-    with pytest.raises(ValueError):
-        table.update(2, ("g", 1), -1.0, 0.5)
-    with pytest.raises(ValueError):
-        table.update(2, ("g", 1), 1.0, 0.0)
 
 
 def test_qadaptive_learns_from_feedback_during_traffic():
@@ -230,6 +226,12 @@ def test_qadaptive_feedback_sample_uses_min_over_ports_estimate():
     assert routing.feedback_count == 1
     new = routing.table_for(sender).get(local_port, dest)
     assert new == pytest.approx((1 - alpha) * old + alpha * expected_sample)
+    assert routing.table_for(sender).updates == 1
+
+    # The sample is checked where it is made: a negative one is a timing bug.
+    packet.request_time = sim.now + 1e6
+    with pytest.raises(ValueError, match="cannot be negative"):
+        routing.on_packet_received(receiver, link.dst_port, packet)
 
 
 def test_qadaptive_intra_group_estimate_only_considers_local_ports():

@@ -24,19 +24,26 @@ simulated behaviour; if that is intended, say so in the change and re-pin.
 Coverage: randomized tiny scenarios across all six routing algorithms,
 windowed offered-load runs, a staggered-arrival co-run, a registered preset,
 a run that drains inside its window and one cut by its watchdog, recorded
-traces under every algorithm, and scenario-store contents — plus the
-``repro.backends`` surface the benchmark harness builds its runs with.
+traces under every algorithm, scenario-store contents, the congestion views
+(Figs 11–12) of one co-run, and the same digests under other
+``PYTHONHASHSEED`` values — plus the ``repro.backends`` surface the benchmark
+harness builds its runs with.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Dict, Iterator
 
 import pytest
 
+import repro
 from repro.backends import REFERENCE_BACKEND, active_backend, backend_names
 from repro.config import SimulationConfig, tiny_system
 from repro.core.engine import Simulator
@@ -47,6 +54,8 @@ from repro.experiments.scenario import (
     scenario_hash,
     table1_scenario,
 )
+from repro.metrics.congestion import congestion_index_matrix, stall_time_by_group
+from repro.network.link import LinkKind
 from repro.network.network import DragonflyNetwork
 from repro.network.nic import Nic
 from repro.network.router import Router
@@ -226,6 +235,81 @@ STORE_PIN = (
 )
 
 
+#: sha256 of each congestion view of :func:`congestion_scenario`, dict and
+#: list order included (see :func:`congestion_views`).
+CONGESTION_VIEWS = {
+    "par": {
+        "matrix": "35609e1bf56d9f2b740fa7c39a5f657b79942b9e33a44e428dfcc642a4e1b1a6",
+        "stalls": "91b1d3cd5c9696feafa2b79d61eaaad4e7d7f9f35741e9cd141c962b9ea3191f",
+        "by_link": "7bde54115e4b14382df6d15d4c77c407345b8dfb144ca7f617ee77e352ae5b7c",
+        "totals": "39ad6cf5b09d0c600a21232cbdfc56ffe9701541eeb5768e7053c90824246ef4",
+        "by_app/0": "a4c3d56cd11e20c61efd2ba877a256f3c1f63c6d454dbe890993b54f8603745c",
+        "by_app/1": "c9da9e60f61c80bca23e9afadab1259e03d629d909ba7717f6845fb30fe72561",
+    },
+    "q-adaptive": {
+        "matrix": "4259288d44796cb55b609f46c667ca43fa67541b36627f1222f11d665a30bcc8",
+        "stalls": "0e89bb3fdffe254053a2a318b03d29f645ac541118b038f8837952490e0a4af8",
+        "by_link": "59b77bf17ef6ce991c1f88afbc3778815d4ab4cd911b626f9d4dfe1a0b65926f",
+        "totals": "701d4ae0367f34c923fdb351f373d0ee2aab1291a446b8d4ff7dc829efc1c50b",
+        "by_app/0": "b573ad8a4ab32e18301ed950baac2e79135feada164c92b753d3a41ac3792f93",
+        "by_app/1": "61a73f078b8d4dfc3dfd6b93290fab64646085362094344647ee2eeac18d9b18",
+    },
+}
+
+
+def congestion_scenario(algorithm: str) -> Scenario:
+    """A two-job co-run on the 36-node system, so per-app link views differ."""
+    config = SimulationConfig(system=tiny_system(), seed=3).with_routing(algorithm)
+    return Scenario(
+        name=f"congestion/{algorithm}",
+        config=config,
+        jobs=(AppSpec("Halo3D", 8, {"scale": 0.4}), AppSpec("UR", 8, {"scale": 0.3})),
+        placement="random",
+    )
+
+
+def congestion_views(network: DragonflyNetwork) -> Dict[str, str]:
+    """sha256 of the stall map, the congestion-index matrix and the link-traffic views."""
+    traffic = network.stats.link_traffic
+    views = {
+        "matrix": congestion_index_matrix(network).tobytes(),
+        "stalls": repr(stall_time_by_group(network)).encode(),
+        "by_link": repr(list(traffic.by_link().items())).encode(),
+        "totals": repr(
+            [traffic.total_bytes(kind) for kind in (None, *LinkKind)]
+            + [traffic.kind_of(key) for key in traffic.by_link()]
+        ).encode(),
+    }
+    for app in sorted(network.stats.applications):
+        views[f"by_app/{app}"] = repr(list(traffic.by_app(app).items())).encode()
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in views.items()}
+
+
+_SUBPROCESS_RUN = (
+    "import json, sys\n"
+    "from repro.experiments.scenario import Scenario\n"
+    "from repro.results import flatten_run\n"
+    "scenario = Scenario.from_dict(json.loads(sys.stdin.read()))\n"
+    "print(json.dumps(flatten_run(scenario.run())))\n"
+)
+
+
+def _flat_in_subprocess(scenario: Scenario, hash_seed: int) -> Dict[str, float]:
+    """``flatten_run`` of ``scenario`` run by a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+    completed = subprocess.run(
+        [sys.executable, "-c", _SUBPROCESS_RUN],
+        input=json.dumps(scenario.to_dict()),
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(completed.stdout)
+
+
 def _flat(scenario: Scenario, require_completion: bool = True) -> Dict[str, float]:
     return flatten_run(scenario.run(require_completion=require_completion))
 
@@ -312,3 +396,20 @@ def test_scenario_store_contents(tmp_path):
     assert stored.metrics == flatten_run(result)
     assert (scenario_hash(scenario), digest(stored.metrics)) == STORE_PIN
     assert stored.metrics["events_fired"] == EVENTS_FIRED["store"]
+
+
+@pytest.mark.parametrize("algorithm", ["par", "q-adaptive"])
+def test_congestion_views(algorithm):
+    network = congestion_scenario(algorithm).run().network
+    assert len(network.stats.applications) == 2
+    assert network.stats.link_traffic.total_bytes() > 0
+    assert congestion_views(network) == CONGESTION_VIEWS[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", ["par", "q-adaptive"])
+def test_digest_independent_of_hash_seed(algorithm):
+    """The determinism envelope: string hashing never reaches a simulated number."""
+    scenario = next(random_scenarios(algorithm, count=1))
+    runs = [_flat_in_subprocess(scenario, hash_seed) for hash_seed in (0, 12345)]
+    assert [digest(flat) for flat in runs] == [RANDOM_DIGESTS[scenario.name]] * 2
+    assert [flat["events_fired"] for flat in runs] == [EVENTS_FIRED[scenario.name]] * 2
