@@ -22,12 +22,14 @@ At any instant, active flows share link bandwidth **max-min fairly**
 contended link at its equal share, subtract, continue).  Rates are
 recomputed *event-driven* — whenever a flow starts or finishes — with all
 changes at one timestamp batched into a single recomputation via a
-zero-delay event.  A single pending "next finish" event tracks the earliest
-flow completion under the current rates and is rescheduled on every
-recomputation.  A finished flow's message is delivered after a fixed
-propagation offset (terminal + per-hop local/global latencies), modelling a
-pipelined transfer whose tail arrives one path latency after the last byte
-left the source.
+zero-delay event.  A recomputation re-fills only the connected components
+(links joined by shared flows) that a started or finished flow touches;
+every other flow keeps its rate.  A single pending "next finish" event
+tracks the earliest flow completion under the current rates and is
+rescheduled on every recomputation.  A finished flow's message is delivered
+after a fixed propagation offset (terminal + per-hop local/global
+latencies), modelling a pipelined transfer whose tail arrives one path
+latency after the last byte left the source.
 
 Routing algorithms map to path selection:
 
@@ -49,6 +51,7 @@ bit-equivalent.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -80,7 +83,7 @@ _ADAPTIVE_ALGORITHMS = frozenset({"ugal-g", "ugal-n", "par", "q-adaptive"})
 class _FlowLink:
     """One directed bandwidth resource and the flows currently crossing it."""
 
-    __slots__ = ("key", "capacity", "flows", "residual", "unfrozen")
+    __slots__ = ("key", "capacity", "flows", "residual", "unfrozen", "epoch")
 
     def __init__(self, key: _LinkKey, capacity: float):
         self.key = key
@@ -90,12 +93,14 @@ class _FlowLink:
         # Progressive-filling scratch state.
         self.residual = capacity
         self.unfrozen = 0
+        #: Last component search or filling round that visited the link.
+        self.epoch = 0
 
 
 class _Flow:
     """One in-flight message transfer."""
 
-    __slots__ = ("message", "links", "remaining", "rate", "latency_ns", "frozen")
+    __slots__ = ("message", "links", "remaining", "rate", "latency_ns", "frozen", "epoch")
 
     def __init__(self, message: Message, links: List[_FlowLink], latency_ns: float):
         self.message = message
@@ -104,6 +109,34 @@ class _Flow:
         self.rate = 0.0
         self.latency_ns = latency_ns
         self.frozen = False
+        #: Last component search that reached the flow.
+        self.epoch = 0
+
+
+def _by_share(links: List[_FlowLink]) -> Dict[float, List[_FlowLink]]:
+    """The links still carrying unfrozen flows, grouped by exact equal share."""
+    buckets: Dict[float, List[_FlowLink]] = {}
+    for link in links:
+        unfrozen = link.unfrozen
+        if unfrozen:
+            share = link.residual / unfrozen
+            bucket = buckets.get(share)
+            if bucket is None:
+                buckets[share] = [link]
+            else:
+                bucket.append(link)
+    return buckets
+
+
+def _current(
+    bucket: List[_FlowLink], share: float, into: List[_FlowLink]
+) -> List[_FlowLink]:
+    """Append to ``into`` the links of ``bucket`` whose share is still ``share``."""
+    for link in bucket:
+        unfrozen = link.unfrozen
+        if unfrozen and link.residual / unfrozen == share:
+            into.append(link)
+    return into
 
 
 class FlowNetwork:
@@ -157,6 +190,11 @@ class FlowNetwork:
         # recomputation; one pending next-finish event tracks the earliest
         # completion under the current rates.
         self._dirty = False
+        #: Flows started or finished since the last recomputation: the seeds
+        #: of its component search.
+        self._changed: List[_Flow] = []
+        #: Source of the epoch marks of component searches and filling rounds.
+        self._epoch = 0
         self._progress_time = sim.now
         self._finish_handle: Optional[EventHandle] = None
 
@@ -185,6 +223,7 @@ class FlowNetwork:
         flow = _Flow(message, links, latency)
         message.inject_start_time = self.sim.now
         self._flows[message.msg_id] = flow
+        self._changed.append(flow)
         for link in links:
             if not link.flows:
                 self._active_links[link.key] = link
@@ -195,9 +234,12 @@ class FlowNetwork:
 
     # ------------------------------------------------------- path selection
     def _select_path(self, src_router: int, dst_router: int) -> List[int]:
-        """Router path for a new flow under the configured routing algorithm."""
-        topo = self.topology
-        minimal = topo.minimal_router_path(src_router, dst_router)
+        """Router path for a new flow under the configured routing algorithm.
+
+        An adaptive choice samples ``nonminimal_candidates`` Valiant detours,
+        so with none it is minimal routing, as at packet level.
+        """
+        minimal = self.topology.minimal_router_path(src_router, dst_router)
         if self._valiant:
             detour = self._valiant_path(src_router, dst_router)
             return detour if detour is not None else minimal
@@ -205,7 +247,7 @@ class FlowNetwork:
             routing = self.config.routing
             best = minimal
             best_score = self._path_load(minimal)
-            for _ in range(max(1, routing.nonminimal_candidates)):
+            for _ in range(routing.nonminimal_candidates):
                 detour = self._valiant_path(src_router, dst_router)
                 if detour is None:
                     break
@@ -218,11 +260,11 @@ class FlowNetwork:
     def _valiant_path(self, src_router: int, dst_router: int) -> Optional[List[int]]:
         """Minimal path via a random intermediate group (None when impossible)."""
         topo = self.topology
-        src_group = topo.group_of_router_table[src_router]
-        dst_group = topo.group_of_router_table[dst_router]
         num_groups = topo.num_groups
         if num_groups <= 2:
             return None
+        src_group = topo.group_of_router_table[src_router]
+        dst_group = topo.group_of_router_table[dst_router]
         mid_group = int(self._routing_rng.integers(num_groups))
         if mid_group == src_group or mid_group == dst_group:
             # At most two forbidden groups: shift into the allowed remainder.
@@ -230,12 +272,11 @@ class FlowNetwork:
                 g for g in range(num_groups) if g != src_group and g != dst_group
             ]
             mid_group = candidates[mid_group % len(candidates)]
-        mid_router = topo.router_in_group(
-            mid_group, int(self._routing_rng.integers(topo.routers_per_group))
-        )
-        first = topo.minimal_router_path(src_router, mid_router)
-        second = topo.minimal_router_path(mid_router, dst_router)
-        return first + second[1:]
+        per_group = topo.routers_per_group
+        mid_router = mid_group * per_group + int(self._routing_rng.integers(per_group))
+        path = topo.minimal_router_path(src_router, mid_router)
+        path += topo.minimal_router_path(mid_router, dst_router)[1:]
+        return path
 
     def _path_load(self, path: List[int]) -> float:
         """Flows currently crossing the path's inter-router links (congestion proxy)."""
@@ -341,6 +382,7 @@ class FlowNetwork:
         finished = [
             flow for flow in self._flows.values() if flow.remaining <= _EPS_BYTES
         ]
+        self._changed.extend(finished)
         for flow in finished:
             message = flow.message
             del self._flows[message.msg_id]
@@ -365,46 +407,106 @@ class FlowNetwork:
             self.on_message_delivered(message)
 
     def _compute_rates(self) -> None:
-        """Max-min fair rates via progressive filling.
+        """Max-min fair rates of the flows that a start or finish can affect.
 
-        Each round finds the most contended link (smallest equal share),
-        freezes **every** flow on **every** link achieving that share, and
-        subtracts.  Symmetric traffic (every link equally loaded) therefore
-        resolves in one round, which is what makes 100k-endpoint scenarios
-        cheap; the worst case is one round per distinct bottleneck level.
+        Only the components holding a changed flow's links are reset and
+        re-filled; a flow elsewhere shares no link with any change, so its
+        max-min rate is the one it already has.
         """
-        active = self._active_links
-        for link in active.values():
+        changed = self._changed
+        if not changed:
+            return
+        self._changed = []
+        self._epoch += 1
+        self._fill(self._components(changed))
+
+    def _components(self, seeds: List[_Flow]) -> List[_FlowLink]:
+        """Reset and return every active link connected to a seed flow's links.
+
+        Two links are connected when a flow crosses both; the search marks
+        what it reaches with the current epoch instead of keeping a set.
+        """
+        epoch = self._epoch
+        links: List[_FlowLink] = []
+        for seed in seeds:
+            for link in seed.links:
+                if link.flows and link.epoch != epoch:
+                    link.epoch = epoch
+                    links.append(link)
+        # A breadth-first worklist: the loop also visits links appended to
+        # ``links`` while it runs.
+        for link in links:
             link.residual = link.capacity
             link.unfrozen = len(link.flows)
-        unfrozen_flows = len(self._flows)
-        for flow in self._flows.values():
-            flow.frozen = False
-            flow.rate = 0.0
-        while unfrozen_flows > 0:
-            share = min(
-                link.residual / link.unfrozen
-                for link in active.values()
-                if link.unfrozen > 0
-            )
-            share = max(share, _MIN_RATE)
+            for flow in link.flows.values():
+                if flow.epoch != epoch:
+                    flow.epoch = epoch
+                    flow.frozen = False
+                    for crossed in flow.links:
+                        if crossed.epoch != epoch:
+                            crossed.epoch = epoch
+                            links.append(crossed)
+        return links
+
+    def _fill(self, links: List[_FlowLink]) -> None:
+        """Progressive filling of ``links`` (reset) and the flows crossing them.
+
+        Each round takes the most contended link's equal share, freezes
+        **every** flow on **every** link within ``1e-12`` of it at that
+        share, and subtracts.  Symmetric traffic (every link equally loaded)
+        therefore resolves in one round, which is what makes 100k-endpoint
+        scenarios cheap.
+
+        Links wait in buckets of equal share ``residual / unfrozen`` on a
+        heap (the sequence number keeps equal shares from comparing lists).
+        A link's share changes only when a round freezes one of its flows;
+        that round files it once more under its new share, and the entry
+        under its old share is dropped when popped.  A round costs the
+        buckets it pops and the links its frozen flows cross.
+
+        Every flow frozen in a round gets the same share, so a link's
+        residual is its capacity minus the rounds' shares in round order,
+        whichever order the round visits links in: the rates are those of
+        filling all links at once, restricted to these.
+        """
+        heap = [
+            (share, seq, bucket)
+            for seq, (share, bucket) in enumerate(_by_share(links).items())
+        ]
+        heapify(heap)
+        seq = len(heap)
+        epoch = self._epoch
+        while heap:
+            key, _, bucket = heappop(heap)
+            bottlenecks = _current(bucket, key, [])
+            if not bottlenecks:
+                continue
+            share = key if key > _MIN_RATE else _MIN_RATE
             threshold = share * (1.0 + 1e-12)
-            bottlenecks = [
-                link
-                for link in active.values()
-                if link.unfrozen > 0 and link.residual / link.unfrozen <= threshold
-            ]
+            while heap and heap[0][0] <= threshold:
+                key, _, bucket = heappop(heap)
+                _current(bucket, key, bottlenecks)
+            # A round's epoch marks the links whose share it changes.
+            epoch += 1
+            touched: List[_FlowLink] = []
             for link in bottlenecks:
                 for flow in link.flows.values():
                     if flow.frozen:
                         continue
                     flow.frozen = True
                     flow.rate = share
-                    unfrozen_flows -= 1
                     for crossed in flow.links:
                         residual = crossed.residual - share
                         crossed.residual = residual if residual > 0.0 else 0.0
                         crossed.unfrozen -= 1
+                        if crossed.epoch != epoch:
+                            crossed.epoch = epoch
+                            touched.append(crossed)
+            # A bottleneck ends the round fully frozen; refile the rest.
+            for level, bucket in _by_share(touched).items():
+                heappush(heap, (level, seq, bucket))
+                seq += 1
+        self._epoch = epoch
 
     def _schedule_next_finish(self) -> None:
         """(Re)schedule the single event tracking the earliest flow completion."""

@@ -358,22 +358,31 @@ class DragonflyTopology:
 
         Minimal Dragonfly paths have at most three router-to-router hops:
         local hop to the source-group gateway, global hop, local hop to the
-        destination router.
+        destination router.  Read straight from the flat tables: the flow
+        model calls this for every adaptive message.
         """
+        num_routers = self.num_routers
+        if not (0 <= src_router < num_routers and 0 <= dst_router < num_routers):
+            self._check_router(src_router)
+            self._check_router(dst_router)
         if src_router == dst_router:
             return [src_router]
-        src_group = self.group_of_router(src_router)
-        dst_group = self.group_of_router(dst_router)
+        group_of = self.group_of_router_table
+        src_group = group_of[src_router]
+        dst_group = group_of[dst_router]
         if src_group == dst_group:
             return [src_router, dst_router]
-        gw_src, _ = self.gateway_router(src_group, dst_group)
-        gw_dst, _ = self.gateway_router(dst_group, src_group)
-        path = [src_router]
-        if gw_src != src_router:
-            path.append(gw_src)
-        if gw_dst != path[-1]:
-            path.append(gw_dst)
-        if dst_router != path[-1]:
+        src_entry = self.gateway_table[src_group][dst_group]
+        dst_entry = self.gateway_table[dst_group][src_group]
+        # Off the diagonal (the groups differ), both entries are set.
+        assert src_entry is not None and dst_entry is not None
+        gw_src = src_entry[0]
+        gw_dst = dst_entry[0]
+        # The two gateways sit in different groups, so the global hop is
+        # always there; the local hops are skipped when already in place.
+        path = [src_router] if gw_src == src_router else [src_router, gw_src]
+        path.append(gw_dst)
+        if dst_router != gw_dst:
             path.append(dst_router)
         return path
 

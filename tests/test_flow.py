@@ -8,7 +8,9 @@ Three layers:
   environment cannot change which fidelity a scenario runs at;
 * **solver** — max-min fair rates on hand-checkable configurations of
   :class:`repro.flow.network.FlowNetwork` (single flow, shared bottleneck,
-  staggered arrival re-rating);
+  staggered arrival re-rating), and a property over random flow sets: after
+  every recomputation each rate equals progressive filling's over the
+  changed components and satisfies the max-min certificate;
 * **cross-validation** — matched small scenarios run at both fidelities:
   per-application communication *volumes* must match exactly (the workload
   layer is shared), and latency/throughput must agree within the documented
@@ -16,7 +18,10 @@ Three layers:
   bit-equivalent).
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.config import SimulationConfig, tiny_system
@@ -26,11 +31,12 @@ from repro.experiments.scenario import (
     dump_scenarios,
     expand_grid,
     loadcurve_scenario,
+    pairwise_scenario,
     scenario_hash,
 )
 from repro.core.engine import Simulator
 from repro.flow import DEFAULT_FIDELITY, FLOW_FIDELITY, fidelity_names, resolve_fidelity
-from repro.flow.network import FlowNetwork
+from repro.flow.network import _MIN_RATE, FlowNetwork
 from repro.network.packet import Message
 from repro.results import ResultStore, flatten_run
 
@@ -225,6 +231,139 @@ def test_late_arrival_rerates_the_running_flow():
     assert second_finish == pytest.approx(
         half_transfer + 1.5 * size / capacity + offset, rel=1e-9
     )
+
+
+def _reference_rates(flows):
+    """Max-min rates of ``flows`` by progressive filling of all their links
+    at once, each round's bottlenecks found by scanning them all (the solver
+    before it re-filled only the components a change touches)."""
+    links = {id(link): link for flow in flows for link in flow.links}
+    residual = {key: link.capacity for key, link in links.items()}
+    unfrozen = {key: len(link.flows) for key, link in links.items()}
+    rates = {}
+    while len(rates) < len(flows):
+        share = min(residual[key] / unfrozen[key] for key in links if unfrozen[key] > 0)
+        share = max(share, _MIN_RATE)
+        threshold = share * (1.0 + 1e-12)
+        bottlenecks = [
+            key
+            for key in links
+            if unfrozen[key] > 0 and residual[key] / unfrozen[key] <= threshold
+        ]
+        for key in bottlenecks:
+            for flow in links[key].flows.values():
+                if flow.message.msg_id in rates:
+                    continue
+                rates[flow.message.msg_id] = share
+                for crossed in flow.links:
+                    left = residual[id(crossed)] - share
+                    residual[id(crossed)] = left if left > 0.0 else 0.0
+                    unfrozen[id(crossed)] -= 1
+    return rates
+
+
+def _component_flows(seeds):
+    """The active flows joined to a seed flow's links through shared links."""
+    links = [link for seed in seeds for link in seed.links]
+    reached = {id(link) for link in links}
+    flows = {}
+    for link in links:  # a worklist: grows while it is walked
+        for msg_id, flow in link.flows.items():
+            if msg_id not in flows:
+                flows[msg_id] = flow
+                for crossed in flow.links:
+                    if id(crossed) not in reached:
+                        reached.add(id(crossed))
+                        links.append(crossed)
+    return list(flows.values())
+
+
+class _CheckedFlowNetwork(FlowNetwork):
+    """Checks every rate recomputation: exactly against filling the changed
+    flows' components together, within rounding against filling every
+    active link, and against the max-min certificate."""
+
+    recomputations = 0
+
+    def _compute_rates(self):
+        refilled = _component_flows(self._changed)
+        rates = {msg_id: flow.rate for msg_id, flow in self._flows.items()}
+        super()._compute_rates()
+        self.recomputations += 1
+        flows = list(self._flows.values())
+        # Flows outside the changed components keep their rates; the rest get
+        # exactly the rates of filling those components' links at once.
+        rates.update(_reference_rates(refilled))
+        assert {f.message.msg_id: f.rate for f in flows} == rates
+        # Filling every active link at once merges rounds of two components
+        # whose shares are within 1e-12 relative, which moves a rate by
+        # rounding only.
+        assert rates == pytest.approx(_reference_rates(flows), rel=1e-12, abs=1e-9)
+        for flow in flows:
+            # Max-min: some link of the flow is saturated, and no flow
+            # crossing it gets more than this one.
+            assert any(
+                sum(other.rate for other in link.flows.values())
+                >= link.capacity * (1 - 1e-9)
+                and max(other.rate for other in link.flows.values())
+                <= flow.rate * (1 + 1e-9)
+                for link in flow.links
+            ), flow.message
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    routing=st.sampled_from(["minimal", "valiant", "par"]),
+    seed=st.integers(min_value=1, max_value=1000),
+    data=st.data(),
+)
+def test_property_recomputed_rates_are_max_min_fair(routing, seed, data):
+    """Random flow sets with staggered starts: after every recomputation,
+    each rate equals progressive filling's over the changed components,
+    exactly, and over every active link, within rounding."""
+    config = (
+        SimulationConfig(system=tiny_system(), seed=seed)
+        .with_routing(routing)
+        .with_fidelity("flow")
+    )
+    sim = Simulator()
+    network = _CheckedFlowNetwork(sim, config)
+    nodes = network.num_nodes
+    flows = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=nodes - 1),
+                st.integers(min_value=1, max_value=nodes - 1),
+                st.integers(min_value=1, max_value=200_000),
+                st.integers(min_value=0, max_value=15),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    delivered = []
+    for src, offset, size, start in flows:
+        message = Message(src_node=src, dst_node=(src + offset) % nodes, size_bytes=size)
+        # Starts on a coarse grid, so several flows often start at one
+        # timestamp and batch into one recomputation.
+        sim.schedule(
+            start * 250.0, network.send_message, message, delivered.append
+        )
+    sim.run()
+    assert len(delivered) == len(flows)
+    assert network.quiescent() and network.recomputations > 0
+
+
+def test_zero_nonminimal_candidates_routes_minimally():
+    """With no Valiant candidate to sample, PAR is minimal routing, as at
+    packet level: every flow row equals the minimal run's."""
+    base = pairwise_scenario("FFT3D", "UR", routing="par", seed=3, scale=0.3)
+
+    def flow_rows(algorithm, **knobs):
+        config = base.config.with_routing(algorithm, **knobs).with_fidelity("flow")
+        return flatten_run(replace(base, config=config).run())
+
+    assert flow_rows("par", nonminimal_candidates=0) == flow_rows("minimal")
 
 
 @pytest.mark.parametrize(

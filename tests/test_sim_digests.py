@@ -1,4 +1,4 @@
-"""Pinned ``sim_digest`` regression test for the packet-level hot core.
+"""Pinned ``sim_digest`` regression test for the hot core and the flow solver.
 
 Every case below runs a small scenario and pins two things, exactly, with no
 tolerances:
@@ -21,7 +21,9 @@ reserved-slot kernel (see :mod:`repro.core.engine`) reproduces them all
 while firing far fewer events.  A change that moves any digest changes
 simulated behaviour; if that is intended, say so in the change and re-pin.
 
-Coverage: randomized tiny scenarios across all six routing algorithms,
+Coverage: randomized tiny scenarios across all six routing algorithms, at
+packet and at flow fidelity, a flow co-run whose rate recomputations see
+several components and share levels at once,
 windowed offered-load runs, a staggered-arrival co-run, a registered preset,
 a run that drains inside its window and one cut by its watchdog, recorded
 traces under every algorithm, scenario-store contents, the congestion views
@@ -51,6 +53,7 @@ from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import (
     Scenario,
     loadcurve_scenario,
+    pairwise_scenario,
     scenario_hash,
     table1_scenario,
 )
@@ -194,7 +197,30 @@ BOUNDED_DIGESTS = {
     "watchdog": "3ca1436feb5af254284bf9dd1b1147bf9c6de87ab05a78daaac50c6f3916720e",
 }
 
-#: ``events_fired`` per case, keyed like the digests above.
+#: Flow fidelity: the randomized scenarios above run as fluid flows, and a
+#: PAR ``pairwise/FFT3D+UR`` co-run on the 72-node bench system.  Of the
+#: co-run's 4,621 rate recomputations, 166 re-fill two or more separate
+#: components with two or more share levels between them (at most 24
+#: components and 4 levels in one).  The digests were computed by a solver
+#: that re-filled every active link on every recomputation.
+FLOW_DIGESTS = {
+    "rand/minimal/0/Stencil5D": "ed2cfb2e757c6d5d7805ad0d8829af92bbaf540de789b3c469e35d146bfb5d0c",
+    "rand/minimal/1/shift": "041da8f5fb3462605093363f3a5690bd8ec486ca77f90f59349710549bc35b54",
+    "rand/valiant/0/FFT3D": "c29e8de8e654ac1c72605092f6074ed2bcedbad0b85d5df1d7d62de9d46acb43",
+    "rand/valiant/1/Stencil5D": "b2e5d4d5db7a87b52094c7ef9ea580b9a3a2f1946633f1045c471f445eb9ab76",
+    "rand/ugal-g/0/Halo3D": "7f31fbb82c5c080fbaf28188eb37e18f63d130e3252f7a3cf20cd39fcc0f24b6",
+    "rand/ugal-g/1/Stencil5D": "0b7f6da72b62c2e277fabcc4eb8772e52de49531c37a99ad5cb589683a4d6ddb",
+    "rand/ugal-n/0/FFT3D": "dfbd3bbb011f248e04cf54f1a5617661edab939e3fc6bf25c6a5ae14a616574e",
+    "rand/ugal-n/1/Halo3D": "185c31ccbb4dd6a6da72185854b63630c4ba6cfb4ffd567437fcfc71f0868991",
+    "rand/par/0/shift": "b0ed8894e2afd14eb4283a00064d29a058b9f52c5d0c1f88d5e36bd80e82dd66",
+    "rand/par/1/UR": "ab0398a902992d03121d575dfea517c3cde5f1e8119007943bbd4ac9309f14b9",
+    "rand/q-adaptive/0/shift": "a468654df0271c0005f0b529fc06a7d7fcbfe26bb93abd60ac8fab6e3ff50eed",
+    "rand/q-adaptive/1/shift": "f7335c0c34e8d43897a16804f9d5da0de50d6c1cd1e5ab47e854132d1809a480",
+    "corun": "df947ce265287ea3aedfb8ef973fe1bfc8b09764475db2077cb5554cdbe84536",
+}
+
+#: ``events_fired`` per case, keyed like the digests above (flow cases
+#: prefixed ``flow/``).
 EVENTS_FIRED = {
     "rand/minimal/0/Stencil5D": 2968,
     "rand/minimal/1/shift": 13610,
@@ -216,6 +242,19 @@ EVENTS_FIRED = {
     "drained-window": 3015,
     "watchdog": 1466,
     "store": 61015,
+    "flow/rand/minimal/0/Stencil5D": 303,
+    "flow/rand/minimal/1/shift": 2099,
+    "flow/rand/valiant/0/FFT3D": 315,
+    "flow/rand/valiant/1/Stencil5D": 230,
+    "flow/rand/ugal-g/0/Halo3D": 479,
+    "flow/rand/ugal-g/1/Stencil5D": 124,
+    "flow/rand/ugal-n/0/FFT3D": 889,
+    "flow/rand/ugal-n/1/Halo3D": 598,
+    "flow/rand/par/0/shift": 2691,
+    "flow/rand/par/1/UR": 1903,
+    "flow/rand/q-adaptive/0/shift": 1339,
+    "flow/rand/q-adaptive/1/shift": 2030,
+    "flow/corun": 14009,
 }
 
 #: ``trace_hash`` of the one recorded Halo3D job, per routing algorithm.
@@ -321,6 +360,23 @@ def test_randomized_scenarios_digests(algorithm):
         assert flat["packets_ejected"] > 0  # the pin is not vacuous
         assert digest(flat) == RANDOM_DIGESTS[scenario.name], scenario.name
         assert flat["events_fired"] == EVENTS_FIRED[scenario.name], scenario.name
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_flow_randomized_scenarios_digests(algorithm):
+    for scenario in random_scenarios(algorithm):
+        flat = _flat(scenario.with_updates(fidelity="flow"))
+        assert flat["messages_delivered"] > 0 and "packets_ejected" not in flat
+        assert digest(flat) == FLOW_DIGESTS[scenario.name], scenario.name
+        assert flat["events_fired"] == EVENTS_FIRED[f"flow/{scenario.name}"], scenario.name
+
+
+def test_flow_corun_digest():
+    scenario = pairwise_scenario("FFT3D", "UR", routing="par", seed=3, scale=0.3)
+    flat = _flat(scenario.with_updates(fidelity="flow"))
+    assert flat["execution_time_ns/FFT3D"] > 0 and flat["execution_time_ns/UR"] > 0
+    assert digest(flat) == FLOW_DIGESTS["corun"]
+    assert flat["events_fired"] == EVENTS_FIRED["flow/corun"]
 
 
 @pytest.mark.parametrize("algorithm", ["minimal", "par", "q-adaptive"])

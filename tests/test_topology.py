@@ -121,6 +121,10 @@ def test_out_of_range_lookups_raise(topo):
         topo.local_port_to(0, 0)
     with pytest.raises(ValueError):
         topo.gateway_router(0, 0)
+    with pytest.raises(ValueError, match="router -1 out of range"):
+        topo.minimal_router_path(-1, 0)
+    with pytest.raises(ValueError, match=f"router {topo.num_routers} out of range"):
+        topo.minimal_router_path(0, topo.num_routers)
 
 
 # ----------------------------------------------------------- property tests
@@ -152,3 +156,25 @@ def test_property_minimal_hops_bounded(shape, data):
     src = data.draw(st.integers(min_value=0, max_value=topo.num_nodes - 1))
     dst = data.draw(st.integers(min_value=0, max_value=topo.num_nodes - 1))
     assert 0 <= topo.minimal_hops(src, dst) <= 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=dragonfly_shapes(), data=st.data())
+def test_property_minimal_path_follows_physical_links(shape, data):
+    """Each hop of a minimal path is a local link, or the global link whose
+    far end is the next router, and at most one hop is global."""
+    topo = DragonflyTopology(shape)
+    routers = st.integers(min_value=0, max_value=topo.num_routers - 1)
+    src, dst = data.draw(routers), data.draw(routers)
+    path = topo.minimal_router_path(src, dst)
+    assert path[0] == src and path[-1] == dst and len(path) <= 4
+    global_hops = 0
+    for here, there in zip(path, path[1:]):
+        group = topo.group_of_router(there)
+        if topo.group_of_router(here) == group:
+            topo.local_port_to(here, there)  # raises if not adjacent
+        else:
+            global_hops += 1
+            port = topo.global_port_to_group(here, group)
+            assert topo.global_peer(here, port)[0] == there
+    assert global_hops <= 1
