@@ -12,9 +12,11 @@ The drivers that only need table rows (Table I/II, Figs 4 and 10) build
 them from the store via the :mod:`repro.analysis` row builders, so on a
 warm store they re-render **without running a single simulation**; the
 drivers that need full statistics (time series, latency distributions,
-stall/congestion maps) go through :func:`standalone_run`/
-:func:`pairwise_run`/:func:`mixed_run`, which share the same scenarios —
-and therefore the same store rows — as the row-based drivers.
+stall/congestion maps) get the memoized
+:class:`~repro.experiments.runner.RunResult` objects from
+:func:`pairwise_run`/:func:`mixed_run` and apply the
+:mod:`repro.metrics` functions to them.  Both kinds share the same
+scenarios — and therefore the same store rows.
 
 Delete the store file after changing simulator behaviour without bumping
 ``CACHE_VERSION`` (the hash-keyed store cannot detect that by itself).
@@ -35,12 +37,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 import pytest
 
-from repro.analysis.mixed import MixedResult
-from repro.analysis.pairwise import PairwiseResult
 from repro.experiments.runner import RunResult
 from repro.experiments.scenario import (
     Scenario,
@@ -220,33 +220,18 @@ def mixed_scenarios(routing: str, scale: float = BENCH_SCALE):
 
 
 # ---------------------------------------------------------- full-stats helpers
-def standalone_run(name: str, routing: str, scale: float = BENCH_SCALE) -> RunResult:
-    """Cached standalone run of one application under one routing."""
-    return run_scenario(standalone_scenario(name, routing, scale))
-
-
 def pairwise_run(
-    target: str, background: str | None, routing: str, scale: float = BENCH_SCALE
-) -> PairwiseResult:
-    """Cached pairwise study (standalone baseline + co-run)."""
+    target: str, background: str, routing: str, scale: float = BENCH_SCALE
+) -> Tuple[RunResult, RunResult]:
+    """Cached ``(standalone baseline, co-run)`` runs of one pairwise cell."""
     baseline, interfered = pairwise_scenarios(target, background, routing, scale)
-    return PairwiseResult(
-        routing=baseline.config.routing.algorithm,
-        target=baseline.jobs[0].name,
-        background=interfered.jobs[1].name if interfered else None,
-        standalone=run_scenario(baseline),
-        interfered=run_scenario(interfered) if interfered else None,
-    )
+    return run_scenario(baseline), run_scenario(interfered)
 
 
-def mixed_run(routing: str, scale: float = BENCH_SCALE) -> MixedResult:
-    """Cached mixed-workload study (Table II proportions on 70 nodes)."""
-    mixed, solos = mixed_scenarios(routing, scale)
-    return MixedResult(
-        routing=mixed.config.routing.algorithm,
-        mixed=run_scenario(mixed),
-        standalone={solo.jobs[0].name: run_scenario(solo) for solo in solos},
-    )
+def mixed_run(routing: str, scale: float = BENCH_SCALE) -> RunResult:
+    """Cached run of the Table II mix (Table II proportions on 70 nodes)."""
+    mixed, _ = mixed_scenarios(routing, scale)
+    return run_scenario(mixed)
 
 
 def routings_under_test() -> list[str]:

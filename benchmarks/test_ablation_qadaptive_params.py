@@ -9,9 +9,10 @@ scales as expected.
 
 from conftest import BENCH_SCALE, BENCH_SEED
 
-from repro.analysis.pairwise import pairwise_study
 from repro.analysis.reports import format_table
 from repro.experiments.configs import bench_config
+from repro.experiments.scenario import pairwise_scenario
+from repro.metrics.interference import interference_summary
 
 SETTINGS = [
     {"q_learning_rate": 0.2, "q_exploration": 0.02},   # paper-style default
@@ -26,19 +27,24 @@ def _sweep():
     for params in SETTINGS:
         config = bench_config("q-adaptive", seed=BENCH_SEED)
         config = config.with_routing("q-adaptive", **params)
-        result = pairwise_study(
-            config, "FFT3D", "Halo3D", scale=BENCH_SCALE,
-            target_ranks=24, background_ranks=24,
-            standalone_result=baseline,
+        alone, pair = (
+            pairwise_scenario(
+                "FFT3D", background, scale=BENCH_SCALE,
+                target_ranks=24, background_ranks=24, config=config,
+            )
+            for background in (None, "Halo3D")
         )
-        baseline = result.standalone
-        routing = result.interfered.network.routing
+        # The first setting's standalone run is the baseline of every setting.
+        if baseline is None:
+            baseline = alone.run()
+        co_run = pair.run()
+        summary = interference_summary(baseline.record("FFT3D"), co_run.record("FFT3D"))
         rows.append(
             {
                 **params,
-                "interfered_comm_ns": result.target_summary.interfered_comm_ns,
-                "slowdown": result.target_summary.slowdown,
-                "feedback_updates": routing.feedback_count,
+                "interfered_comm_ns": summary.interfered_comm_ns,
+                "slowdown": summary.slowdown,
+                "feedback_updates": co_run.network.routing.feedback_count,
             }
         )
     return rows

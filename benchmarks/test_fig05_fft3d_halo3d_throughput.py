@@ -15,19 +15,18 @@ from repro.analysis.reports import format_table
 def _series():
     data = {}
     for routing in routings_under_test():
-        result = pairwise_run("FFT3D", "Halo3D", routing)
+        standalone, co_run = pairwise_run("FFT3D", "Halo3D", routing)
         entry = {}
         for app in ("FFT3D", "Halo3D"):
-            _, alone = result.throughput_series(app, interfered=False) if app == "FFT3D" else (None, None)
-            times, interfered = result.throughput_series(app, interfered=True)
+            _, interfered = co_run.stats.app_throughput_series(co_run.jobs[app].job_id)
             entry[app] = {
                 "interfered_mean": float(interfered.mean()) if interfered.size else 0.0,
                 "interfered_peak": float(interfered.max()) if interfered.size else 0.0,
                 "samples": int(interfered.size),
             }
         # FFT3D standalone series comes from its standalone baseline run.
-        _, alone_series = result.standalone.stats.app_throughput_series(
-            result.standalone.jobs["FFT3D"].job_id
+        _, alone_series = standalone.stats.app_throughput_series(
+            standalone.jobs["FFT3D"].job_id
         )
         entry["FFT3D"]["standalone_mean"] = float(alone_series.mean()) if alone_series.size else 0.0
         data[routing] = entry

@@ -9,14 +9,17 @@ stretches the tail, and Q-adaptive controls the p99 at least as well as PAR.
 from conftest import pairwise_run, routings_under_test
 
 from repro.analysis.reports import format_table
+from repro.metrics.latency import latency_summary
 
 
 def _distributions():
     rows = []
     for routing in routings_under_test():
-        result = pairwise_run("FFT3D", "Halo3D", routing)
-        alone = result.target_latency(interfered=False)
-        interfered = result.target_latency(interfered=True)
+        standalone, co_run = pairwise_run("FFT3D", "Halo3D", routing)
+        alone, interfered = (
+            latency_summary(run.stats, app_id=run.jobs["FFT3D"].job_id)
+            for run in (standalone, co_run)
+        )
         rows.append(
             {
                 "routing": routing,

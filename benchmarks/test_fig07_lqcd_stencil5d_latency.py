@@ -14,9 +14,7 @@ from repro.analysis.reports import format_table
 def _series():
     data = {}
     for routing in routings_under_test():
-        result = pairwise_run("LQCD", "Stencil5D", routing)
-        standalone = result.standalone
-        interfered = result.interfered
+        standalone, interfered = pairwise_run("LQCD", "Stencil5D", routing)
         alone_lat = standalone.stats.packet_latencies(standalone.jobs["LQCD"].job_id)
         inter_lat = interfered.stats.packet_latencies(interfered.jobs["LQCD"].job_id)
         bg_lat = interfered.stats.packet_latencies(interfered.jobs["Stencil5D"].job_id)

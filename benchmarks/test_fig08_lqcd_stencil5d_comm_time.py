@@ -14,10 +14,10 @@ from repro.metrics.interference import interference_summary
 def _rows():
     rows = []
     for routing in routings_under_test():
-        lqcd_view = pairwise_run("LQCD", "Stencil5D", routing)
-        stencil_view = pairwise_run("Stencil5D", "LQCD", routing)
-        rows.append({"routing": routing, **lqcd_view.target_summary.as_dict()})
-        rows.append({"routing": routing, **stencil_view.target_summary.as_dict()})
+        for target, background in (("LQCD", "Stencil5D"), ("Stencil5D", "LQCD")):
+            standalone, co_run = pairwise_run(target, background, routing)
+            summary = interference_summary(standalone.record(target), co_run.record(target))
+            rows.append({"routing": routing, **summary.as_dict()})
     return rows
 
 

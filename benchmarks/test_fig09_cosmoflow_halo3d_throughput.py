@@ -9,14 +9,16 @@ though Halo3D dominates the network for most of the run.
 from conftest import pairwise_run, routings_under_test
 
 from repro.analysis.reports import format_table
+from repro.metrics.interference import interference_summary
 
 
 def _rows():
     rows = []
     for routing in routings_under_test():
-        result = pairwise_run("CosmoFlow", "Halo3D", routing)
-        summary = result.target_summary
-        interfered = result.interfered
+        standalone, interfered = pairwise_run("CosmoFlow", "Halo3D", routing)
+        summary = interference_summary(
+            standalone.record("CosmoFlow"), interfered.record("CosmoFlow")
+        )
         _, cosmo_series = interfered.stats.app_throughput_series(
             interfered.jobs["CosmoFlow"].job_id
         )

@@ -8,13 +8,13 @@ stalling than PAR on both local and global links.
 from conftest import mixed_run, routings_under_test
 
 from repro.analysis.reports import format_table
+from repro.metrics.congestion import stall_time_by_group
 
 
 def _rows():
     rows = []
     for routing in routings_under_test():
-        result = mixed_run(routing)
-        stall = result.stall_map()
+        stall = stall_time_by_group(mixed_run(routing).network)
         rows.append(
             {
                 "routing": routing,

@@ -10,13 +10,13 @@ import numpy as np
 from conftest import mixed_run, routings_under_test
 
 from repro.analysis.reports import format_table
+from repro.metrics.congestion import congestion_index_matrix
 
 
 def _matrices():
     data = {}
     for routing in routings_under_test():
-        result = mixed_run(routing)
-        matrix = result.congestion_matrix()
+        matrix = congestion_index_matrix(mixed_run(routing).network)
         off_diag = matrix[~np.eye(matrix.shape[0], dtype=bool)]
         data[routing] = {
             "matrix": matrix,

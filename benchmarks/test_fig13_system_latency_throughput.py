@@ -10,21 +10,23 @@ than adaptive routing.
 from conftest import mixed_run, routings_under_test
 
 from repro.analysis.reports import format_table
+from repro.metrics.latency import latency_summary
 
 
 def _rows():
     rows = []
     for routing in routings_under_test():
-        result = mixed_run(routing)
-        latency = result.system_latency()
+        mix = mixed_run(routing)
+        latency = latency_summary(mix.stats)
+        _, rates = mix.stats.system_throughput_series()
         rows.append(
             {
                 "routing": routing,
                 "mean_ns": latency.mean,
                 "p95_ns": latency.p95,
                 "p99_ns": latency.p99,
-                "throughput_gb_ms": result.mean_system_throughput(),
-                "makespan_ns": result.mixed.makespan_ns,
+                "throughput_gb_ms": float(rates.mean()) if rates.size else 0.0,
+                "makespan_ns": mix.makespan_ns,
             }
         )
     return rows

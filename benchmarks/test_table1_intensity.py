@@ -10,8 +10,11 @@ store re-renders the table without launching a single simulation.
 
 from conftest import BENCH_SCALE, BENCH_SEED, bench_store, ensure_stored, standalone_scenario
 
-from repro.analysis.reports import intensity_report, table1_rows
+from repro.analysis.reports import build_report, table1_rows
 from repro.experiments.configs import BENCH_RANKS
+
+#: The bench store may hold other routings/scales; select this suite's runs.
+FILTERS = dict(routing="par", seed=BENCH_SEED, scale=BENCH_SCALE)
 
 
 def _build_table():
@@ -19,12 +22,12 @@ def _build_table():
     # traffic patterns registered alongside them have no bench-scale rank
     # counts and no Table I row.
     ensure_stored(standalone_scenario(name, "par") for name in BENCH_RANKS)
-    return table1_rows(bench_store(), routing="par", seed=BENCH_SEED, scale=BENCH_SCALE)
+    return table1_rows(bench_store(), **FILTERS)
 
 
 def test_table1_intensity(benchmark):
     rows = benchmark.pedantic(_build_table, rounds=1, iterations=1)
-    print("\n" + intensity_report(rows))
+    print("\n" + build_report(bench_store(), "table1", **FILTERS))
 
     assert {row["app"] for row in rows} == set(BENCH_RANKS)
     rates = {row["app"]: row["injection_rate_gbps"] for row in rows}

@@ -37,7 +37,7 @@ LOADS = [0.1, 0.5] if SMOKE else [0.1, 0.3, 0.5, 0.7, 0.9]
 ROUTINGS = ["par"] if SMOKE else ["par", "q-adaptive"]
 
 
-def build_grid():
+def make_grid():
     """One windowed continuous-injection cell per (routing, offered load)."""
     if SMOKE:  # tiny system + short windows so the docs CI finishes in seconds
         base = loadcurve_scenario(
@@ -54,7 +54,7 @@ def build_grid():
 
 def main() -> None:
     store_path = Path(tempfile.mkdtemp(prefix="loadcurve-")) / "results.sqlite"
-    grid = build_grid()
+    grid = make_grid()
     print(f"sweeping {len(grid)} steady-state cells -> {store_path}", file=sys.stderr)
     with ResultStore(store_path) as store:
         run_sweep(grid, workers=1 if SMOKE else (os.cpu_count() or 1), store=store)

@@ -1,59 +1,58 @@
 #!/usr/bin/env python3
 """Mixed-workload study: six applications sharing the system (Section VI).
 
-Runs the Table II mix (FFT3D, CosmoFlow, LU, UR, LQCD, Stencil5D at the
-paper's node proportions) under PAR and Q-adaptive routing and prints the
-per-application interference, the system-wide packet-latency tail, the
-aggregate throughput, and the per-group stall-time hot spots.
+Sweeps the Table II mix (FFT3D, CosmoFlow, LU, UR, LQCD, Stencil5D at the
+paper's node proportions) and each application's standalone baseline — the
+``mixed/*`` preset family — under PAR and Q-adaptive routing into a result
+store, then prints the per-application interference, the job sizes and
+the system-wide packet-latency tail and stall time read back from the
+store.  The same study from the command line:
+
+    dragonfly-sim sweep --scenario 'mixed/*' --routings par q-adaptive \\
+        --seed 5 --scale 0.3
+    dragonfly-sim report mixed
 
 Run with:  python examples/mixed_workload.py
 (set REPRO_SMOKE=1 for a faster one-routing, reduced-volume run)
 """
 
+import fnmatch
 import os
+import tempfile
+from pathlib import Path
 
-from repro.analysis.mixed import mixed_study
-from repro.analysis.reports import format_table
-from repro.experiments.configs import bench_config, mixed_workload_specs
+from repro.analysis.reports import build_report, format_table
+from repro.experiments.scenario import expand_grid, get_scenario, scenario_names
+from repro.experiments.sweep import run_sweep
+from repro.results import ResultStore
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 SCALE = 0.15 if SMOKE else 0.3
-COMPARED = ("par",) if SMOKE else ("par", "q-adaptive")
+COMPARED = ["par"] if SMOKE else ["par", "q-adaptive"]
 
 
 def main() -> None:
-    app_rows = []
-    system_rows = []
-    for routing in COMPARED:
-        config = bench_config(routing=routing, seed=5)
-        result = mixed_study(config, mixed_workload_specs(total_nodes=70, scale=SCALE))
-        for summary in result.all_summaries():
-            app_rows.append(
+    bases = [
+        get_scenario(name).with_updates(scale=SCALE)
+        for name in fnmatch.filter(scenario_names(), "mixed/*")
+    ]
+    grid = expand_grid(bases, routings=COMPARED, seeds=[5])
+    with tempfile.TemporaryDirectory(prefix="dragonfly-sim-") as scratch:
+        with ResultStore(Path(scratch) / "results.sqlite") as store:
+            run_sweep(grid, workers=os.cpu_count() or 1, store=store)
+            print(build_report(store, "mixed"))
+            print()
+            print(build_report(store, "table2", routing=COMPARED[0]))
+            system_rows = [
                 {
-                    "routing": routing,
-                    "app": summary.app,
-                    "standalone_us": summary.standalone_comm_ns / 1e3,
-                    "mixed_us": summary.interfered_comm_ns / 1e3,
-                    "slowdown": summary.slowdown,
+                    "routing": run.routing,
+                    "p99_latency_us": run.metric("packet_latency_p99_ns") / 1e3,
+                    "port_stall_us": run.metric("total_port_stall_ns") / 1e3,
+                    "makespan_us": run.metric("makespan_ns") / 1e3,
                 }
-            )
-        latency = result.system_latency()
-        stall = result.stall_map()
-        system_rows.append(
-            {
-                "routing": routing,
-                "mean_interference": result.mean_interference(),
-                "p99_latency_us": latency.p99 / 1e3,
-                "throughput_gb_ms": result.mean_system_throughput(),
-                "local_stall_us": stall["local_mean"] / 1e3,
-                "hottest_group": stall["local_max_group"],
-            }
-        )
-        print(f"[{routing}] mixed workload done")
-
-    print("\n=== Per-application communication time in the mix ===")
-    print(format_table(app_rows))
-    print("\n=== System-wide metrics ===")
+                for run in store.runs_named("mixed/table2")
+            ]
+    print("\n=== System-wide metrics of the mix ===")
     print(format_table(system_rows))
 
 

@@ -4,17 +4,29 @@
 Reproduces the core experiment of the paper's Section V at benchmark scale:
 the communication time of FFT3D (the vulnerable, all-to-all application) when
 Halo3D (the highest-injection-rate aggressor) shares the network, compared
-across UGALg, UGALn, PAR and Q-adaptive routing.
+across UGALg, UGALn, PAR and Q-adaptive routing.  The two presets — the
+``pairwise/FFT3D`` baseline and the ``pairwise/FFT3D+Halo3D`` co-run — are
+swept into a result store and the comparison is read back out of it.  The
+same study from the command line:
+
+    dragonfly-sim sweep --scenario pairwise/FFT3D pairwise/FFT3D+Halo3D \\
+        --routings ugal-g ugal-n par q-adaptive --seed 3 --scale 0.3
+    dragonfly-sim report pairwise/FFT3D+Halo3D
 
 Run with:  python examples/pairwise_interference.py
 (set REPRO_SMOKE=1 for a faster two-routing, reduced-volume run)
 """
 
 import os
+import tempfile
+from pathlib import Path
 
-from repro.analysis.pairwise import pairwise_study
-from repro.analysis.reports import format_table
-from repro.experiments.configs import ROUTINGS, bench_config
+from repro.analysis.pairwise import comparison_rows
+from repro.analysis.reports import build_report
+from repro.experiments.configs import ROUTINGS
+from repro.experiments.scenario import expand_grid, get_scenario
+from repro.experiments.sweep import run_sweep
+from repro.results import ResultStore
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 TARGET = "FFT3D"
@@ -24,28 +36,20 @@ COMPARED = ["par", "q-adaptive"] if SMOKE else ROUTINGS
 
 
 def main() -> None:
-    rows = []
-    for routing in COMPARED:
-        config = bench_config(routing=routing, seed=3)
-        result = pairwise_study(config, TARGET, BACKGROUND, scale=SCALE)
-        summary = result.target_summary
-        latency = result.target_latency(interfered=True)
-        rows.append(
-            {
-                "routing": routing,
-                "standalone_us": summary.standalone_comm_ns / 1e3,
-                "interfered_us": summary.interfered_comm_ns / 1e3,
-                "slowdown": summary.slowdown,
-                "p99_latency_us": latency.p99 / 1e3,
-            }
-        )
-        print(f"[{routing}] done: slowdown {summary.slowdown:.2f}")
-
-    print(f"\n=== {TARGET} interfered by {BACKGROUND} (benchmark scale) ===")
-    print(format_table(rows))
-    best = min(rows, key=lambda r: r["interfered_us"])
+    pair = f"pairwise/{TARGET}+{BACKGROUND}"
+    bases = [
+        get_scenario(name).with_updates(scale=SCALE)
+        for name in (f"pairwise/{TARGET}", pair)
+    ]
+    grid = expand_grid(bases, routings=COMPARED, seeds=[3])
+    with tempfile.TemporaryDirectory(prefix="dragonfly-sim-") as scratch:
+        with ResultStore(Path(scratch) / "results.sqlite") as store:
+            run_sweep(grid, workers=os.cpu_count() or 1, store=store)
+            print(build_report(store, pair))
+            rows = comparison_rows(store, TARGET, BACKGROUND)
+    best = min(rows, key=lambda r: r["interfered_comm_ns"])
     print(f"\nBest routing for the interfered target: {best['routing']} "
-          f"({best['interfered_us']:.1f} us communication time)")
+          f"({best['interfered_comm_ns'] / 1e3:.1f} us communication time)")
 
 
 if __name__ == "__main__":

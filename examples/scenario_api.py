@@ -15,7 +15,7 @@ The same workflow is available from the command line:
 
     dragonfly-sim scenarios                       # list the library
     dragonfly-sim run pairwise/FFT3D+Halo3D       # run a preset
-    dragonfly-sim pairwise FFT3D Halo3D --dump-scenario pair.json
+    dragonfly-sim run pairwise/FFT3D+Halo3D --dump-scenario pair.json
     dragonfly-sim sweep --scenario pair.json --routings par q-adaptive
 
 Run with:  python examples/scenario_api.py

@@ -41,7 +41,7 @@ PATTERNS = ["hotspot", "bursty"] if SMOKE else [
 STAGGER_NS = 30_000.0 if SMOKE else 200_000.0
 
 
-def build_grid():
+def make_grid():
     """One baseline + (simultaneous, staggered) co-runs per pattern."""
     if SMOKE:  # tiny system + small jobs so the docs CI finishes in seconds
         config = SimulationConfig(system=tiny_system())
@@ -62,7 +62,7 @@ def main() -> None:
         origin = "cache" if result.cached else f"{result.wall_seconds:.1f}s"
         print(f"[{done}/{total}] {result.scenario.name} ({origin})", file=sys.stderr)
 
-    grid = build_grid()
+    grid = make_grid()
     run_sweep(grid, workers=os.cpu_count() or 1, store=store_path, progress=progress)
 
     columns = ["background", "routing", "standalone_comm_ns", "interfered_comm_ns",

@@ -1,25 +1,22 @@
-"""Interference analysis: the pairwise and mixed-workload studies + reports.
+"""Interference analysis: store-backed comparison rows and reports.
 
-:mod:`repro.analysis.pairwise` and :mod:`repro.analysis.mixed` orchestrate
-the experiment runner and the metrics package into the two studies of the
-paper's evaluation (Sections V and VI); both also offer store-backed row
-builders (:func:`~repro.analysis.pairwise.comparison_rows`,
-:func:`~repro.analysis.mixed.mixed_rows_from_store`) that rebuild the same
-comparison rows from a :class:`~repro.results.ResultStore` without
-simulating.  :mod:`repro.analysis.reports` renders rows as plain-text, CSV
-or Markdown tables and hosts the named report builders behind
-``dragonfly-sim report`` (see docs/results.md).
+:mod:`repro.analysis.pairwise` and :mod:`repro.analysis.mixed` rebuild the
+two studies of the paper's evaluation (Sections V and VI) from a populated
+:class:`~repro.results.ResultStore` without simulating
+(:func:`~repro.analysis.pairwise.comparison_rows`,
+:func:`~repro.analysis.mixed.mixed_rows_from_store`).
+:mod:`repro.analysis.reports` renders rows as plain-text, CSV or Markdown
+tables and hosts the named report builders behind ``dragonfly-sim report``
+(see docs/results.md).
 """
 
-from repro.analysis.pairwise import PairwiseResult, comparison_rows, pairwise_study
-from repro.analysis.mixed import MixedResult, mixed_rows_from_store, mixed_study
+from repro.analysis.pairwise import comparison_rows
+from repro.analysis.mixed import mixed_rows_from_store
 from repro.analysis.reports import (
     build_report,
     format_csv,
     format_markdown,
     format_table,
-    intensity_report,
-    interference_report,
     ml_rows,
     render_rows,
     table1_rows,
@@ -28,19 +25,13 @@ from repro.analysis.reports import (
 )
 
 __all__ = [
-    "MixedResult",
-    "PairwiseResult",
     "build_report",
     "comparison_rows",
     "format_csv",
     "format_markdown",
     "format_table",
-    "intensity_report",
-    "interference_report",
     "mixed_rows_from_store",
-    "mixed_study",
     "ml_rows",
-    "pairwise_study",
     "render_rows",
     "table1_rows",
     "table2_rows",

@@ -2,107 +2,31 @@
 
 Six applications with distinct communication patterns co-run on the system
 (job sizes proportional to Table II).  Per-application interference is
-measured against per-application standalone baselines (Fig. 10), and
-system-wide behaviour is captured through stall-time maps (Fig. 11), the
-congestion-index matrix (Fig. 12) and the system packet-latency distribution
-and aggregate throughput (Fig. 13).
-
-Two paths produce the Fig. 10 interference rows:
-
-* :func:`mixed_study` simulates the mix plus its baselines and returns a
-  :class:`MixedResult` (full access to stats, stall maps, latencies);
-* :func:`mixed_rows_from_store` reads previously recorded ``mixed/table2``
-  and ``mixed/solo/<App>`` runs (see
-  :func:`repro.experiments.scenario.mixed_solo_scenarios`) back out of a
-  :class:`~repro.results.ResultStore` — same row schema, zero simulation.
+measured against per-application standalone baselines (Fig. 10):
+:func:`mixed_rows_from_store` reads the recorded ``mixed/table2`` and
+``mixed/solo/<App>`` runs (see
+:func:`repro.experiments.scenario.mixed_solo_scenarios`) back out of a
+:class:`~repro.results.ResultStore` with zero simulation.  The system-wide
+views of the mixed run — stall-time maps (Fig. 11), the congestion-index
+matrix (Fig. 12), packet latency and throughput (Fig. 13) — are the
+:mod:`repro.metrics` functions applied to its
+:class:`~repro.experiments.runner.RunResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    import numpy as np
-
     from repro.results import ResultStore
 
+from repro.metrics.interference import InterferenceSummary
 
-import numpy as np
-
-from repro.config import SimulationConfig
-from repro.experiments.configs import AppSpec, mixed_workload_specs
-from repro.experiments.runner import RunResult, run_workloads
-from repro.metrics.congestion import congestion_index_matrix, stall_time_by_group
-from repro.metrics.interference import InterferenceSummary, interference_summary
-from repro.metrics.latency import LatencySummary, latency_summary
-
-__all__ = ["MixedResult", "mixed_rows_from_store", "mixed_study"]
+__all__ = ["mixed_rows_from_store"]
 
 #: Scenario names the store-backed Fig. 10 rows are looked up under.
 MIXED_SCENARIO_NAME = "mixed/table2"
 MIXED_SOLO_PREFIX = "mixed/solo/"
-
-
-@dataclass
-class MixedResult:
-    """Outcome of one mixed-workload run plus its standalone baselines."""
-
-    routing: str
-    mixed: RunResult
-    standalone: Dict[str, RunResult]
-
-    def app_summary(self, name: str) -> InterferenceSummary:
-        """Interference summary of one application in the mix."""
-        return interference_summary(self.standalone[name].record(name), self.mixed.record(name))
-
-    def all_summaries(self) -> List[InterferenceSummary]:
-        """Interference summaries of every application in the mix."""
-        return [self.app_summary(name) for name in self.mixed.jobs]
-
-    def mean_interference(self) -> float:
-        """Mean relative communication-time increase over all applications."""
-        increases = [s.comm_time_increase for s in self.all_summaries()]
-        return float(np.mean(increases)) if increases else 0.0
-
-    def system_latency(self) -> LatencySummary:
-        """System-wide packet-latency distribution of the mixed run (Fig. 13a)."""
-        return latency_summary(self.mixed.stats)
-
-    def system_throughput(self) -> Tuple["np.ndarray", "np.ndarray"]:
-        """(times, GB/ms) aggregate delivered-byte series (Fig. 13b)."""
-        return self.mixed.stats.system_throughput_series()
-
-    def mean_system_throughput(self) -> float:
-        """Time-averaged aggregate throughput in GB/ms."""
-        _, rates = self.system_throughput()
-        return float(rates.mean()) if rates.size else 0.0
-
-    def stall_map(self) -> dict:
-        """Per-group stall-time aggregation of the mixed run (Fig. 11)."""
-        return stall_time_by_group(self.mixed.network)
-
-    def congestion_matrix(self) -> np.ndarray:
-        """Group-by-group congestion-index matrix of the mixed run (Fig. 12)."""
-        return congestion_index_matrix(self.mixed.network)
-
-
-def mixed_study(
-    config: SimulationConfig,
-    specs: Optional[Sequence[AppSpec]] = None,
-    placement: str = "random",
-    standalone: Optional[Dict[str, RunResult]] = None,
-) -> MixedResult:
-    """Run the mixed workload and (optionally reuse) standalone baselines."""
-    specs = list(specs) if specs is not None else mixed_workload_specs()
-    mixed_result = run_workloads(config, specs, placement=placement)
-    baselines: Dict[str, RunResult] = dict(standalone or {})
-    for spec in specs:
-        if spec.name not in baselines:
-            baselines[spec.name] = run_workloads(config, [spec], placement=placement)
-    return MixedResult(
-        routing=config.routing.algorithm, mixed=mixed_result, standalone=baselines
-    )
 
 
 def mixed_rows_from_store(
@@ -121,9 +45,10 @@ def mixed_rows_from_store(
     application's communication time in the recorded ``mixed/table2`` run
     against its ``mixed/solo/<App>`` standalone baseline, aggregating across
     the matching seeds.  Raises ``ValueError`` when a required run is missing
-    (populate the store by recording :func:`repro.experiments.scenario.mixed_scenario`
-    and :func:`~repro.experiments.scenario.mixed_solo_scenarios` runs, e.g.
-    via ``run_sweep(..., store=...)``).
+    (populate the store with ``dragonfly-sim sweep --scenario 'mixed/*'
+    --store PATH``, or ``run_sweep(..., store=...)`` over
+    :func:`repro.experiments.scenario.mixed_scenario` and
+    :func:`~repro.experiments.scenario.mixed_solo_scenarios`).
     """
     from repro.results.store import ensure_comparable, ensure_uniform, mean_metric
 

@@ -1,126 +1,25 @@
 """Pairwise workload analysis (Section V).
 
-A *pairwise study* co-runs one target application with one background
-application (or none) under one routing algorithm and compares the target's
-communication behaviour against its standalone baseline: communication time
-and its variation (Fig. 4), application throughput over time (Figs 5, 9) and
-packet-latency distributions (Figs 6, 7).
-
-Two paths produce the Fig. 4 comparison rows:
-
-* :func:`pairwise_study` simulates both runs and returns a
-  :class:`PairwiseResult` (full access to stats, time series, latencies);
-* :func:`comparison_rows` reads previously recorded ``pairwise/<T>`` /
-  ``pairwise/<T>+<B>`` runs back out of a
-  :class:`~repro.results.ResultStore` — same row schema, zero simulation.
+A *pairwise* experiment co-runs one target application with one background
+application and compares the target's communication time and its variation
+against its standalone baseline (Fig. 4).  Both runs are scenario presets
+(``pairwise/<T>+<B>`` and ``pairwise/<T>``, see
+:func:`repro.experiments.scenario.pairwise_scenario`); sweep them into a
+:class:`~repro.results.ResultStore` and :func:`comparison_rows` rebuilds the
+comparison rows from it with zero simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    import numpy as np
-
     from repro.results import ResultStore
 
-from repro.config import SimulationConfig
-from repro.experiments.configs import pairwise_specs
-from repro.experiments.runner import RunResult, run_workloads
-from repro.metrics.interference import InterferenceSummary, interference_summary
-from repro.metrics.latency import LatencySummary, latency_summary
+from repro.metrics.interference import InterferenceSummary
 from repro.workloads import resolve_application
 
-__all__ = ["PairwiseResult", "comparison_rows", "pairwise_study"]
-
-
-@dataclass
-class PairwiseResult:
-    """Outcome of one target/background pair under one routing algorithm."""
-
-    routing: str
-    target: str
-    background: Optional[str]
-    standalone: RunResult
-    interfered: Optional[RunResult]
-
-    @property
-    def target_summary(self) -> InterferenceSummary:
-        """Interference summary of the target application."""
-        baseline = self.standalone.record(self.target)
-        co_run = (self.interfered or self.standalone).record(self.target)
-        return interference_summary(baseline, co_run)
-
-    def target_latency(self, interfered: bool = True) -> LatencySummary:
-        """Packet-latency summary of the target in either run."""
-        result = self.interfered if (interfered and self.interfered is not None) else self.standalone
-        job = result.jobs[self.target]
-        return latency_summary(result.stats, app_id=job.job_id)
-
-    def throughput_series(
-        self, app: str, interfered: bool = True
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """(times, GB/ms) series of ``app`` in either run."""
-        result = self.interfered if (interfered and self.interfered is not None) else self.standalone
-        job = result.jobs[app]
-        return result.stats.app_throughput_series(job.job_id)
-
-    def as_dict(self) -> dict:
-        """Plain-dict summary row (used by the Fig. 4 benchmark)."""
-        summary = self.target_summary
-        return {
-            "routing": self.routing,
-            "target": self.target,
-            "background": self.background or "None",
-            **summary.as_dict(),
-        }
-
-
-def pairwise_study(
-    config: SimulationConfig,
-    target: str,
-    background: Optional[str],
-    scale: float = 1.0,
-    placement: str = "random",
-    standalone_result: Optional[RunResult] = None,
-    target_ranks: Optional[int] = None,
-    background_ranks: Optional[int] = None,
-) -> PairwiseResult:
-    """Run the standalone baseline and the co-run for one pair.
-
-    ``standalone_result`` may be passed to reuse a previously computed
-    baseline (the paper keeps the target's placement fixed across runs; the
-    same effect is obtained here by using the same seed/config for both runs).
-    ``target_ranks``/``background_ranks`` override the default half-system
-    job sizes, e.g. for smaller test systems.
-    """
-    if standalone_result is None:
-        standalone_result = run_workloads(
-            config,
-            pairwise_specs(target, None, scale=scale, target_ranks=target_ranks),
-            placement=placement,
-        )
-    interfered_result: Optional[RunResult] = None
-    if background is not None:
-        interfered_result = run_workloads(
-            config,
-            pairwise_specs(
-                target,
-                background,
-                scale=scale,
-                target_ranks=target_ranks,
-                background_ranks=background_ranks,
-            ),
-            placement=placement,
-        )
-    return PairwiseResult(
-        routing=config.routing.algorithm,
-        target=target,
-        background=background,
-        standalone=standalone_result,
-        interfered=interfered_result,
-    )
+__all__ = ["comparison_rows"]
 
 
 def comparison_rows(
@@ -140,7 +39,8 @@ def comparison_rows(
     Looks up the recorded ``pairwise/<target>`` standalone baseline and (when
     ``background`` is given) the ``pairwise/<target>+<background>`` co-run,
     aggregates each metric across the matching seeds, and returns one row per
-    routing algorithm in the :meth:`PairwiseResult.as_dict` schema.
+    routing algorithm: ``routing``, ``target``, ``background`` and the
+    :class:`~repro.metrics.interference.InterferenceSummary` columns.
     ``routings=None`` reports every routing present; the remaining filters
     narrow the matched runs.  ``start_time`` narrows the *co-run* family to
     one arrival stagger (``0.0`` = simultaneous), which disambiguates stores

@@ -12,22 +12,16 @@ Two kinds of entry point live here:
   tables **without launching a single simulation**.  :func:`build_report`
   dispatches on a report name and backs the ``dragonfly-sim report``
   subcommand (see docs/results.md).
-
-The legacy helpers :func:`intensity_report` and :func:`interference_report`
-render rows produced by live runs; they share the same column schemas as the
-store-backed builders.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.results import ResultStore
-
-from repro.metrics.interference import InterferenceSummary
 
 __all__ = [
     "OUTPUT_FORMATS",
@@ -35,8 +29,6 @@ __all__ = [
     "format_csv",
     "format_markdown",
     "format_table",
-    "intensity_report",
-    "interference_report",
     "loadcurve_rows",
     "ml_rows",
     "render_rows",
@@ -728,32 +720,3 @@ def build_report(
     if fmt == "markdown":
         return f"### {title}\n\n{body}"
     return f"{title}\n{body}"
-
-
-# ------------------------------------------------------------- legacy reports
-def intensity_report(rows: Iterable[dict]) -> str:
-    """Render the Table I rows (application communication intensity)."""
-    ordered = sorted(rows, key=lambda r: r.get("app", ""))
-    return "Table I — application communication intensity\n" + format_table(
-        ordered, TABLE1_COLUMNS
-    )
-
-
-def interference_report(
-    summaries: Dict[str, InterferenceSummary], title: str = "Interference summary"
-) -> str:
-    """Render per-routing interference summaries (Figs 4, 8, 10 style rows)."""
-    rows = []
-    for routing, summary in summaries.items():
-        row = {"routing": routing}
-        row.update(summary.as_dict())
-        rows.append(row)
-    columns = [
-        "routing",
-        "app",
-        "standalone_comm_ns",
-        "interfered_comm_ns",
-        "slowdown",
-        "variation",
-    ]
-    return f"{title}\n" + format_table(rows, columns)

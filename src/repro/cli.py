@@ -1,16 +1,13 @@
 """Command-line interface: ``dragonfly-sim``.
 
-Eight subcommands cover the study's workflows:
+Five subcommands cover the study's workflow — describe a run as a scenario,
+execute it, tabulate the stored results:
 
-* ``table1``    — run every application standalone and print the Table I rows;
-* ``pairwise``  — co-run a target and a background application under one or
-  more routing algorithms and print the interference summary (Fig. 4 rows);
-* ``mixed``     — run the Table II mixed workload and print per-application
-  interference plus the system-wide congestion metrics (Figs 10-13);
-* ``sweep``     — fan a scenario grid (standalone, pairwise or mixed) across
-  worker processes, cached through the persistent result store
-  (see docs/sweep.md);
-* ``run``       — execute a named scenario from the built-in library or a
+* ``sweep``     — fan one or more scenarios (library names, globs over the
+  library such as ``'table1/*'``, or JSON files) across routing/placement/
+  seed/... grid axes and worker processes, cached through the persistent
+  result store (see docs/sweep.md);
+* ``run``       — execute scenario(s) from the built-in library or a
   scenario JSON file, optionally recording into a store
   (see docs/scenarios.md);
 * ``trace``     — ``trace record`` runs a scenario and dumps every job's
@@ -23,48 +20,35 @@ Eight subcommands cover the study's workflows:
   simulation** (see docs/results.md);
 * ``scenarios`` — list the scenario library, or describe one as JSON.
 
+The paper's tables are a sweep plus a report, e.g. ``dragonfly-sim sweep
+--scenario 'table1/*' --routings par`` then ``dragonfly-sim report table1``.
 ``--seed``/``--scale`` are accepted both before and after the subcommand,
-and every study subcommand accepts ``--dump-scenario PATH`` to capture the
+and ``run``/``sweep`` accept ``--dump-scenario PATH`` to capture the
 invocation as a reusable scenario JSON file instead of simulating.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import sqlite3
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from repro.analysis.mixed import mixed_study
-from repro.analysis.pairwise import pairwise_study
-from repro.analysis.reports import OUTPUT_FORMATS, format_table, intensity_report
-from repro.experiments.configs import ROUTINGS, bench_config, table1_specs
+from repro.analysis.reports import OUTPUT_FORMATS, format_table
 from repro.experiments.scenario import (
     Scenario,
     dump_scenarios,
     expand_grid,
     get_scenario,
     load_scenarios,
-    mixed_scenario,
-    pairwise_scenario,
     scenario_names,
-    table1_scenario,
 )
-from repro.metrics.intensity import intensity_table
 from repro.results import DEFAULT_STORE_PATH, ResultStore
-from repro.workloads import APPLICATIONS
 
 __all__ = ["build_parser", "main"]
-
-
-def _seed(args: argparse.Namespace) -> int:
-    return getattr(args, "seed", 1)
-
-
-def _scale(args: argparse.Namespace) -> float:
-    return getattr(args, "scale", 1.0)
 
 
 def _dump_path(args: argparse.Namespace) -> Optional[str]:
@@ -74,10 +58,10 @@ def _dump_path(args: argparse.Namespace) -> Optional[str]:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     # Shared options live on a parent parser attached to the main parser AND
-    # to every subparser, so "dragonfly-sim table1 --seed 3" and
-    # "dragonfly-sim --seed 3 table1" both work.  Defaults are SUPPRESS so a
-    # subparser's (unset) copy never clobbers a value parsed earlier; readers
-    # go through _seed()/_scale()/_dump_path() for the real defaults.
+    # to every subparser, so "dragonfly-sim run table1/UR --seed 3" and
+    # "dragonfly-sim --seed 3 run table1/UR" both work.  Defaults are
+    # SUPPRESS so a subparser's (unset) copy never clobbers a value parsed
+    # earlier; readers test hasattr() or go through _dump_path().
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS, help="experiment seed (default 1)"
@@ -100,54 +84,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    table1 = sub.add_parser(
-        "table1", parents=[common, capture],
-        help="regenerate the Table I intensity metrics",
-    )
-    table1.add_argument("--routing", default="par", help="routing algorithm to use")
-
-    pairwise = sub.add_parser(
-        "pairwise", parents=[common, capture],
-        help="pairwise interference study (Fig. 4)",
-    )
-    pairwise.add_argument("target", choices=sorted(APPLICATIONS), help="target application")
-    pairwise.add_argument(
-        "background", choices=sorted(APPLICATIONS), help="background application"
-    )
-    pairwise.add_argument(
-        "--routings", nargs="+", default=list(ROUTINGS), help="routing algorithms to compare"
-    )
-
-    mixed = sub.add_parser(
-        "mixed", parents=[common, capture], help="mixed-workload study (Figs 10-13)"
-    )
-    mixed.add_argument(
-        "--routings", nargs="+", default=["par", "q-adaptive"], help="routing algorithms"
-    )
-
     sweep = sub.add_parser(
         "sweep", parents=[common, capture],
         help="parallel scenario grid (routing x placement x seed)",
     )
     sweep.add_argument(
-        "--workloads", nargs="+", default=["FFT3D", "Halo3D"],
-        help="applications to sweep standalone (see repro.workloads)",
-    )
-    sweep.add_argument(
-        "--scenario", default=None, metavar="NAME_OR_FILE",
-        help="sweep this base scenario (library name or JSON file) across the "
-             "grid axes instead of --workloads — pairwise and mixed scenarios "
-             "sweep exactly like standalone ones",
+        "--scenario", nargs="+", required=True, metavar="REF",
+        help="base scenario(s) to sweep across the grid axes: library names, "
+             "globs over the library (e.g. 'table1/*', 'mixed/*') or JSON "
+             "files — pairwise and mixed scenarios sweep exactly like "
+             "standalone ones",
     )
     sweep.add_argument(
         "--routings", nargs="+", default=None,
-        help="routing algorithms (default: all four paper algorithms for "
-             "--workloads grids; the base scenario's algorithm for --scenario)",
+        help="routing algorithms (default: the base scenario's algorithm)",
     )
     sweep.add_argument(
         "--placements", nargs="+", default=None,
-        help="placement policies (random, contiguous; default: random for "
-             "--workloads grids, the base scenario's policy for --scenario)",
+        help="placement policies (random, contiguous; default: the base "
+             "scenario's policy)",
     )
     sweep.add_argument(
         "--seeds", nargs="+", type=int, default=None,
@@ -156,20 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--start-times", nargs="+", type=float, default=None, metavar="NS",
         help="stagger the base scenario's first job across these arrival "
-             "times (ns); --scenario grids only",
+             "times (ns)",
     )
     sweep.add_argument(
         "--offered-loads", nargs="+", type=float, default=None, metavar="FRACTION",
         help="sweep the base scenario's synthetic jobs across these "
              "continuous-injection loads (fractions of terminal bandwidth, "
-             "e.g. 0.1 0.4 0.7) — the latency-vs-load axis; --scenario "
-             "grids only (see the loadcurve/<pattern> presets)",
+             "e.g. 0.1 0.4 0.7) — the latency-vs-load axis (see the "
+             "loadcurve/<pattern> presets)",
     )
     sweep.add_argument(
         "--fidelities", "--fidelity", nargs="+", default=None, dest="fidelities",
         help="sweep the base scenario across these simulation fidelities "
-             "(packet, flow) — the cross-fidelity validation axis; "
-             "--scenario grids only (see docs/fidelity.md)",
+             "(packet, flow) — the cross-fidelity validation axis "
+             "(see docs/fidelity.md)",
     )
     sweep.add_argument(
         "--fail-fast", action="store_true",
@@ -179,18 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--warmup", type=float, default=None, metavar="NS",
         help="override the base scenario's warmup_ns (statistics before this "
-             "time are excluded from measurement-window metrics); "
-             "--scenario grids only",
+             "time are excluded from measurement-window metrics)",
     )
     sweep.add_argument(
         "--measurement", type=float, default=None, metavar="NS",
         help="override the base scenario's measurement_ns (the run terminates "
-             "when the window closes instead of waiting for rank completion); "
-             "--scenario grids only",
-    )
-    sweep.add_argument(
-        "--system", default="small", choices=["tiny", "small", "paper"],
-        help="system shape for --workloads grids (default: the 72-node bench system)",
+             "when the window closes instead of waiting for rank completion)",
     )
     sweep.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,
@@ -201,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"SQLite result store used as the sweep cache (default "
              f"{DEFAULT_STORE_PATH}; '' disables caching; see docs/results.md)",
     )
-    sweep.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="deprecated: legacy JSON cache directory; its entries are "
-             "imported into the store (DIR/results.sqlite unless --store "
-             "names another path)",
-    )
 
     run = sub.add_parser(
         "run", parents=[common, capture],
@@ -214,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "scenario",
-        help="scenario name (see 'dragonfly-sim scenarios') or path to a "
-             "scenario JSON file",
+        help="scenario name (see 'dragonfly-sim scenarios'), a glob over the "
+             "library (e.g. 'table1/*') or path to a scenario JSON file",
     )
     run.add_argument("--routing", default=None, help="override the routing algorithm")
     run.add_argument("--placement", default=None, help="override the placement policy")
@@ -341,11 +284,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_scenarios(ref: str) -> List[Scenario]:
-    """Scenario(s) behind ``ref``: a JSON file path or a library name."""
-    if ref.endswith(".json") or Path(ref).is_file():
-        return load_scenarios(ref)
-    return [get_scenario(ref)]
+def _resolve_scenarios(refs: Sequence[str]) -> Optional[List[Scenario]]:
+    """Scenarios behind ``refs``: JSON file paths, library names or library globs.
+
+    A glob (``'table1/*'``) expands to every matching library name, in
+    sorted order.  Prints the error and returns ``None`` when a reference
+    does not resolve (an unknown name, a glob matching nothing, an invalid
+    scenario file).
+    """
+    scenarios: List[Scenario] = []
+    try:
+        for ref in refs:
+            if ref.endswith(".json") or Path(ref).is_file():
+                scenarios.extend(load_scenarios(ref))
+            elif any(char in ref for char in "*?["):
+                matched = fnmatch.filter(scenario_names(), ref)
+                if not matched:
+                    raise ValueError(
+                        f"no scenario in the library matches {ref!r}; list the "
+                        "library with 'dragonfly-sim scenarios'"
+                    )
+                scenarios.extend(get_scenario(name) for name in matched)
+            else:
+                scenarios.append(get_scenario(ref))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return scenarios
 
 
 def _dump_and_report(path: str, scenarios: List[Scenario]) -> int:
@@ -355,172 +320,57 @@ def _dump_and_report(path: str, scenarios: List[Scenario]) -> int:
     return 0
 
 
-def _run_table1(args: argparse.Namespace) -> int:
-    scenarios = [
-        table1_scenario(spec.name, routing=args.routing, seed=_seed(args), scale=_scale(args))
-        for spec in table1_specs()
-    ]
-    dump = _dump_path(args)
-    if dump:
-        return _dump_and_report(dump, scenarios)
-    applications = {}
-    records = {}
-    for scenario in scenarios:
-        result = scenario.run()
-        (name,) = [spec.name for spec in scenario.jobs]
-        applications[name] = result.application(name)
-        records[name] = result.record(name)
-    rows = intensity_table(applications.values(), records)
-    print(intensity_report(rows))
-    return 0
-
-
-def _run_pairwise(args: argparse.Namespace) -> int:
-    dump = _dump_path(args)
-    if dump:
-        scenarios = [
-            pairwise_scenario(
-                args.target, args.background,
-                routing=routing, seed=_seed(args), scale=_scale(args),
-            )
-            for routing in args.routings
-        ]
-        return _dump_and_report(dump, scenarios)
-    rows = []
-    for routing in args.routings:
-        config = bench_config(routing, seed=_seed(args))
-        result = pairwise_study(config, args.target, args.background, scale=_scale(args))
-        rows.append(result.as_dict())
-    print(
-        format_table(
-            rows,
-            ["routing", "target", "background", "standalone_comm_ns", "interfered_comm_ns", "slowdown", "variation"],
-        )
-    )
-    return 0
-
-
-def _run_mixed(args: argparse.Namespace) -> int:
-    dump = _dump_path(args)
-    if dump:
-        scenarios = [
-            mixed_scenario(routing=routing, seed=_seed(args)) for routing in args.routings
-        ]
-        return _dump_and_report(dump, scenarios)
-    rows = []
-    for routing in args.routings:
-        config = bench_config(routing, seed=_seed(args))
-        result = mixed_study(config)
-        latency = result.system_latency()
-        rows.append(
-            {
-                "routing": routing,
-                "mean_interference": result.mean_interference(),
-                "mean_latency_ns": latency.mean,
-                "p99_latency_ns": latency.p99,
-                "throughput_gb_per_ms": result.mean_system_throughput(),
-            }
-        )
-    print(format_table(rows))
-    return 0
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import SweepError, SweepResult, build_grid, run_sweep
+    from repro.experiments.sweep import SweepError, SweepResult, run_sweep
 
+    bases = _resolve_scenarios(args.scenario)
+    if bases is None:
+        return 2
     if args.seeds is not None:
         seeds = args.seeds
     elif hasattr(args, "seed"):
         seeds = [args.seed]
     else:
-        seeds = None  # --scenario grids keep the base seed
-    if args.scenario:
-        bases = _resolve_scenarios(args.scenario)
-        if hasattr(args, "scale"):
-            bases = [base.with_updates(scale=args.scale) for base in bases]
-        if args.warmup is not None or args.measurement is not None:
-            bases = [
-                base.with_updates(warmup_ns=args.warmup, measurement_ns=args.measurement)
-                for base in bases
-            ]
-        # Only the axes the user actually passed are expanded; everything
-        # else keeps the base scenario's value.
-        grid = expand_grid(
-            bases, routings=args.routings, placements=args.placements, seeds=seeds,
-            start_times=args.start_times, offered_loads=args.offered_loads,
-            fidelities=args.fidelities,
-        )
-        columns = ["scenario", "jobs", "routing", "placement", "seed",
-                   "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
-    else:
-        steady_flags = [
-            flag
-            for flag, value in [
-                ("--start-times", args.start_times),
-                ("--offered-loads", args.offered_loads),
-                ("--fidelities", args.fidelities),
-                ("--warmup", args.warmup),
-                ("--measurement", args.measurement),
-            ]
-            if value is not None
+        seeds = None  # keep the base seed
+    if hasattr(args, "scale"):
+        bases = [base.with_updates(scale=args.scale) for base in bases]
+    if args.warmup is not None or args.measurement is not None:
+        bases = [
+            base.with_updates(warmup_ns=args.warmup, measurement_ns=args.measurement)
+            for base in bases
         ]
-        if steady_flags:
-            print(
-                f"error: {'/'.join(steady_flags)} requires --scenario "
-                "(workload grids describe fixed-length packet-level standalone "
-                "runs that start at t=0)",
-                file=sys.stderr,
-            )
-            return 2
-        grid = build_grid(
-            workloads=args.workloads,
-            routings=args.routings if args.routings is not None else list(ROUTINGS),
-            placements=args.placements if args.placements is not None else ["random"],
-            seeds=seeds if seeds is not None else [1],
-            scale=_scale(args),
-            system=args.system,
-        )
-        columns = ["workload", "routing", "placement", "seed",
-                   "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
+    # Only the axes the user actually passed are expanded; everything else
+    # keeps the base scenario's value.
+    grid = expand_grid(
+        bases, routings=args.routings, placements=args.placements, seeds=seeds,
+        start_times=args.start_times, offered_loads=args.offered_loads,
+        fidelities=args.fidelities,
+    )
+    columns = ["scenario", "jobs", "routing", "placement", "seed",
+               "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
 
     dump = _dump_path(args)
     if dump:
-        scenarios = [cell if isinstance(cell, Scenario) else cell.to_scenario() for cell in grid]
-        return _dump_and_report(dump, scenarios)
+        return _dump_and_report(dump, grid)
 
     def progress(done: int, total: int, result: SweepResult) -> None:
         origin = "cache" if result.cached else f"{result.wall_seconds:.1f}s"
-        if result.point is not None:
-            what = (f"{result.point.workload} {result.point.routing} "
-                    f"{result.point.placement} seed={result.point.seed}")
-        else:
-            what = result.scenario.name
-        print(f"[{done}/{total}] {what} ({origin})", file=sys.stderr)
+        print(f"[{done}/{total}] {result.scenario.name} ({origin})", file=sys.stderr)
 
-    # --store '' (or the legacy --cache-dir '' idiom) disables caching
-    # outright; an unset --store falls back to the default store unless a
-    # (deprecated) --cache-dir names the legacy location, in which case the
-    # store lives inside that directory.  An explicit --store always wins;
-    # --cache-dir then only marks the legacy JSON entries to import.
-    store = args.store
-    cache_dir = args.cache_dir or None
-    if store == "" or (args.cache_dir == "" and store is None):
-        store, cache_dir = None, None
-    elif store is None and cache_dir is None:
-        store = str(DEFAULT_STORE_PATH)
+    # --store '' disables caching outright; an unset --store falls back to
+    # the default store.
+    store = None if args.store == "" else (args.store or str(DEFAULT_STORE_PATH))
     try:
         results = run_sweep(
             grid,
             workers=args.workers,
             store=store,
-            cache_dir=cache_dir,
             progress=progress,
             fail_fast=args.fail_fast,
         )
     except sqlite3.DatabaseError as exc:
-        broken = store if store is not None else str(Path(cache_dir) / "results.sqlite")
         print(
-            f"error: result store {broken!r} is unreadable ({exc}); delete the "
+            f"error: result store {store!r} is unreadable ({exc}); delete the "
             "file to start a fresh cache, or pass --store '' to sweep uncached",
             file=sys.stderr,
         )
@@ -537,7 +387,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_run(args: argparse.Namespace) -> int:
-    scenarios = _resolve_scenarios(args.scenario)
+    scenarios = _resolve_scenarios([args.scenario])
+    if scenarios is None:
+        return 2
     overrides = {}
     if args.routing is not None:
         overrides["routing"] = args.routing
@@ -603,7 +455,9 @@ def _run_run(args: argparse.Namespace) -> int:
 def _run_trace_record(args: argparse.Namespace) -> int:
     from repro.traces import record_scenario, trace_hash
 
-    scenarios = _resolve_scenarios(args.scenario)
+    scenarios = _resolve_scenarios([args.scenario])
+    if scenarios is None:
+        return 2
     if len(scenarios) != 1:
         print(
             f"error: {args.scenario!r} describes {len(scenarios)} scenarios; "
@@ -793,12 +647,6 @@ def _run_scenarios(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    if args.command == "table1":
-        return _run_table1(args)
-    if args.command == "pairwise":
-        return _run_pairwise(args)
-    if args.command == "mixed":
-        return _run_mixed(args)
     if args.command == "sweep":
         return _run_sweep(args)
     if args.command == "run":

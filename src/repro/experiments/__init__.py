@@ -5,9 +5,9 @@
 description per experiment, with a registry of named presets and grid
 expansion;
 :mod:`repro.experiments.configs` defines the paper-scale and benchmark-scale
-system/application configurations (including the Table II mixed workload);
-:mod:`repro.experiments.runner` builds a full simulator stack from an
-application list and runs it to completion;
+system/application configurations (including the Table II job sizes);
+:mod:`repro.experiments.runner` builds the full simulator stack behind
+``Scenario.run`` and runs it to completion;
 :mod:`repro.experiments.sweep` fans scenario grids across worker processes,
 cached through the persistent result store (:mod:`repro.results` — see
 docs/results.md).
@@ -21,12 +21,9 @@ from repro.experiments.configs import (
     SYNTHETIC_RANKS,
     bench_config,
     bench_spec,
-    mixed_workload_specs,
-    pairwise_specs,
     synthetic_spec,
-    table1_specs,
 )
-from repro.experiments.runner import RunResult, run_standalone, run_workloads
+from repro.experiments.runner import RunResult
 from repro.experiments.scenario import (
     Scenario,
     dump_scenarios,
@@ -58,17 +55,12 @@ __all__ = [
     "get_scenario",
     "load_scenarios",
     "mixed_scenario",
-    "mixed_workload_specs",
     "ml_scenario",
     "pairwise_scenario",
-    "pairwise_specs",
     "register_scenario",
-    "run_standalone",
-    "run_workloads",
     "scenario_hash",
     "scenario_names",
     "synthetic_scenario",
     "synthetic_spec",
     "table1_scenario",
-    "table1_specs",
 ]

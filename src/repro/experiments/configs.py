@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.config import SimulationConfig, small_system
 
@@ -33,11 +33,8 @@ __all__ = [
     "SYNTHETIC_RANKS",
     "bench_config",
     "bench_spec",
-    "mixed_workload_specs",
     "ml_spec",
-    "pairwise_specs",
     "synthetic_spec",
-    "table1_specs",
 ]
 
 #: The four routing algorithms compared throughout the paper's evaluation.
@@ -299,55 +296,3 @@ def ml_spec(
         )
     ranks = num_ranks if num_ranks is not None else ML_RANKS[name]
     return AppSpec(name, ranks, kwargs, start_time)
-
-
-def table1_specs(scale: float = 1.0) -> List[AppSpec]:
-    """Standalone specs for every application (Table I regeneration)."""
-    return [bench_spec(name, scale=scale) for name in BENCH_RANKS]
-
-
-def pairwise_specs(
-    target: str,
-    background: Optional[str],
-    scale: float = 1.0,
-    target_ranks: Optional[int] = None,
-    background_ranks: Optional[int] = None,
-) -> List[AppSpec]:
-    """Specs for one pairwise co-run (``background=None`` -> standalone).
-
-    The background application gets an iteration count large enough to keep
-    injecting traffic for the whole target run (see
-    :data:`BACKGROUND_ITERATION_BOOST`).  Rank counts default to
-    :data:`PAIRWISE_RANKS` (together roughly filling the 72-node benchmark
-    system) and can be overridden for smaller test systems.
-    """
-    specs = [AppSpec(target, target_ranks or PAIRWISE_RANKS[target], {"scale": scale})]
-    if background is not None:
-        if background == target:
-            raise ValueError("target and background must be different applications")
-        kwargs = {"scale": scale, "seed": 7, "iterations": BACKGROUND_ITERATION_BOOST[background]}
-        specs.append(AppSpec(background, background_ranks or PAIRWISE_RANKS[background], kwargs))
-    return specs
-
-
-def mixed_workload_specs(
-    total_nodes: int = 70, scale: float = 1.0, names: Optional[Sequence[str]] = None
-) -> List[AppSpec]:
-    """Mixed-workload specs scaled down from Table II proportions.
-
-    Each application receives a share of ``total_nodes`` proportional to its
-    paper job size (LQCD and Stencil5D get the larger shares so they can form
-    their high-dimensional process grids, exactly as in the paper).
-    """
-    selected = list(names) if names is not None else list(PAPER_TABLE2_JOB_SIZES)
-    total_fraction = sum(MIXED_WORKLOAD_FRACTIONS[name] for name in selected)
-    specs = []
-    for index, name in enumerate(selected):
-        share = MIXED_WORKLOAD_FRACTIONS[name] / total_fraction
-        ranks = max(4, int(round(share * total_nodes)))
-        specs.append(AppSpec(name, ranks, {"scale": scale, "seed": 11 + index}))
-    # Trim if rounding overshot the node budget.
-    while sum(s.num_ranks for s in specs) > total_nodes:
-        largest = max(specs, key=lambda s: s.num_ranks)
-        specs[specs.index(largest)] = largest.with_ranks(largest.num_ranks - 1)
-    return specs

@@ -1,9 +1,8 @@
-"""Experiment runner: build the full stack from specs and run to completion.
+"""Experiment runner: build the full stack for a scenario and run it to completion.
 
-The canonical way to describe a run is a
-:class:`repro.experiments.scenario.Scenario`; its ``run()`` facade calls the
-:func:`_execute` core below, and :func:`run_workloads`/:func:`run_standalone`
-are kept as thin wrappers that build an ad-hoc scenario from their arguments.
+A run is described by a :class:`repro.experiments.scenario.Scenario`; its
+``run()`` facade calls the :func:`_execute` core below, which returns a
+:class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -13,24 +12,24 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
-from repro.experiments.configs import AppSpec
 from repro.flow import DEFAULT_FIDELITY
 from repro.mpi.engine import MpiEngine, MpiJob
 from repro.network.network import DragonflyNetwork
-from repro.placement import Placement, create_placement
+from repro.placement import create_placement
 from repro.placement.allocator import NodeAllocator
 from repro.stats.appstats import ApplicationRecord
 from repro.stats.collector import StatsCollector
 from repro.workloads import Application, create_application, resolve_application
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.scenario import Scenario
     from repro.traces.recorder import TraceRecorder
 
-__all__ = ["RunResult", "run_standalone", "run_workloads"]
+__all__ = ["RunResult"]
 
 
 @dataclass
@@ -134,30 +133,19 @@ def _gc_paused() -> Iterator[None]:
 
 
 def _execute(
-    config: SimulationConfig,
-    specs: Sequence[AppSpec],
-    placement: Union[str, Placement],
+    scenario: "Scenario",
     require_completion: bool = True,
     recorder: Optional["TraceRecorder"] = None,
 ) -> RunResult:
-    """Build the simulator stack and run it (core behind ``Scenario.run``).
+    """Build the simulator stack for ``scenario`` and run it (core behind ``Scenario.run``).
 
-    ``placement`` may be a policy name or an already-constructed
-    :class:`~repro.placement.Placement` instance.  ``recorder`` optionally
-    attaches a :class:`~repro.traces.recorder.TraceRecorder` to the engine
-    before any program runs (pure observation — the simulation is identical
-    with or without it).
+    The scenario has already validated its jobs (non-empty, distinct
+    canonical names) and placement policy.  ``recorder`` optionally attaches
+    a :class:`~repro.traces.recorder.TraceRecorder` to the engine before any
+    program runs (pure observation — the simulation is identical with or
+    without it).
     """
-    if not specs:
-        raise ValueError("at least one application spec is required")
-    # AppSpec canonicalizes its application name at construction, so jobs are
-    # keyed identically whether this run was entered through a Scenario or
-    # the Placement-instance path.
-    specs = list(specs)
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate job names in {names}; give co-runs distinct names")
-
+    config = scenario.config
     started = time.perf_counter()
     sim = Simulator()
     if config.fidelity == DEFAULT_FIDELITY:
@@ -171,12 +159,12 @@ def _execute(
     engine = MpiEngine(network)
     engine.recorder = recorder
     allocator = NodeAllocator(network.num_nodes)
-    policy = placement if isinstance(placement, Placement) else create_placement(placement)
+    policy = create_placement(scenario.placement)
     placement_rng = network.rng.get("placement")
 
     applications: Dict[str, Application] = {}
     placements: Dict[str, List[int]] = {}
-    for spec in specs:
+    for spec in scenario.jobs:
         application = create_application(spec.name, spec.num_ranks, **spec.kwargs)
         nodes = allocator.allocate(spec.name, spec.num_ranks, policy, placement_rng)
         engine.add_job(
@@ -225,47 +213,3 @@ def _execute(
         wall_seconds=wall,
         completed=completed,
     )
-
-
-def run_workloads(
-    config: SimulationConfig,
-    specs: Sequence[AppSpec],
-    placement: Union[str, Placement] = "random",
-    require_completion: bool = True,
-) -> RunResult:
-    """Run the applications described by ``specs`` on one Dragonfly system.
-
-    This is a thin wrapper over :meth:`repro.experiments.scenario.Scenario.run`:
-    the arguments are packed into an ad-hoc scenario and executed.  Prefer
-    building a :class:`~repro.experiments.scenario.Scenario` directly when
-    the experiment should be named, serialized, or swept.
-
-    Parameters
-    ----------
-    config:
-        Simulation configuration (system shape, routing algorithm, seed…).
-    specs:
-        One :class:`AppSpec` per co-running job.
-    placement:
-        Placement policy name (``"random"`` — the paper's default — or
-        ``"contiguous"``), or a :class:`~repro.placement.Placement` instance.
-    require_completion:
-        When true (default) a run that stops before every rank finished
-        (because of ``max_time_ns``/``max_events``) raises ``RuntimeError``;
-        otherwise the partial result is returned with ``completed=False``.
-    """
-    if isinstance(placement, Placement):
-        # Placement instances cannot be named/serialized, so they bypass the
-        # Scenario wrapper and go straight to the execution core.
-        return _execute(config, list(specs), placement, require_completion)
-    from repro.experiments.scenario import Scenario
-
-    scenario = Scenario(name="adhoc", jobs=tuple(specs), config=config, placement=placement)
-    return scenario.run(require_completion=require_completion)
-
-
-def run_standalone(
-    config: SimulationConfig, spec: AppSpec, placement: Union[str, Placement] = "random"
-) -> RunResult:
-    """Run a single application alone on the system (interference-free baseline)."""
-    return run_workloads(config, [spec], placement=placement)

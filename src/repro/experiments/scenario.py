@@ -7,15 +7,16 @@ selection (:class:`~repro.config.RoutingConfig`), the experiment-level knobs
 of :class:`~repro.experiments.configs.AppSpec` jobs.  Everything else in the
 experiment layer is defined in terms of it:
 
-* ``Scenario.run()`` is the execution facade —
-  :func:`repro.experiments.runner.run_workloads` and ``run_standalone`` are
-  thin wrappers that build an ad-hoc scenario and run it;
+* ``Scenario.run()`` executes one scenario and returns its
+  :class:`~repro.experiments.runner.RunResult`;
 * :func:`repro.experiments.sweep.run_sweep` fans lists of scenarios across
   worker processes, cached in the :class:`~repro.results.ResultStore` keyed
-  by :func:`scenario_hash`;
-* the ``dragonfly-sim run``/``scenarios`` CLI subcommands (and
-  ``--dump-scenario`` on every study subcommand) read and write scenarios as
-  JSON files.
+  by :func:`scenario_hash`, which ``dragonfly-sim report`` tabulates;
+* the ``dragonfly-sim run``/``sweep``/``scenarios`` CLI subcommands (and
+  their ``--dump-scenario`` option) read and write scenarios as JSON files,
+  and resolve library names, ``fnmatch`` globs over the library
+  (``'table1/*'``) and any ``pairwise/<T>+<B>`` pair (see
+  :func:`get_scenario`).
 
 Serialization is **strict and round-trip exact**: ``to_dict``/``from_dict``
 reject unknown keys at every level, validate routing/placement/workload
@@ -42,14 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - runner imports scenario at runtime
 
 from repro.config import RoutingConfig, SimulationConfig, SystemConfig
 from repro.experiments.configs import (
+    BACKGROUND_ITERATION_BOOST,
     BENCH_RANKS,
+    MIXED_WORKLOAD_FRACTIONS,
     ML_RANKS,
+    PAIRWISE_RANKS,
+    PAPER_TABLE2_JOB_SIZES,
     SYNTHETIC_RANKS,
     bench_config,
     bench_spec,
-    mixed_workload_specs,
     ml_spec,
-    pairwise_specs,
     synthetic_spec,
 )
 from repro.experiments.configs import AppSpec
@@ -77,8 +80,8 @@ __all__ = [
 
 #: Cache-format version.  Bump whenever simulator changes alter numeric
 #: results or the canonical serialization changes, which orphans (rather
-#: than corrupts) old sweep-cache entries.  Version 2 switched the cache key
-#: from ``SweepPoint`` hashes to canonical ``Scenario`` hashes.
+#: than corrupts) old result-store rows.  Version 2 switched the cache key
+#: to canonical ``Scenario`` hashes.
 CACHE_VERSION = 2
 
 #: SimulationConfig fields that belong to the scenario's ``"sim"`` section
@@ -210,7 +213,9 @@ class Scenario:
             raise ValueError(f"duplicate job names in {names}; give co-runs distinct names")
         object.__setattr__(self, "jobs", jobs)
         if not isinstance(self.placement, str):
-            raise TypeError("placement must be a policy name; pass Placement instances to run_workloads")
+            raise TypeError(
+                f"placement must be a policy name, got {type(self.placement).__name__}"
+            )
         placement = self.placement.strip().lower()
         if placement not in PLACEMENTS:
             raise ValueError(
@@ -393,17 +398,15 @@ class Scenario:
         """Build the full simulator stack for this scenario and run it.
 
         Returns a :class:`repro.experiments.runner.RunResult`.  This is the
-        execution facade every other entry point (``run_workloads``,
-        ``run_standalone``, the sweep workers, the CLI) goes through.
-        ``recorder`` optionally attaches a
+        execution facade every other entry point (the sweep workers, the
+        CLI, the trace recorder) goes through.  ``recorder`` optionally
+        attaches a
         :class:`~repro.traces.recorder.TraceRecorder` (see
         :func:`repro.traces.record_scenario` for the convenience wrapper).
         """
         from repro.experiments.runner import _execute
 
-        return _execute(
-            self.config, list(self.jobs), self.placement, require_completion, recorder=recorder
-        )
+        return _execute(self, require_completion, recorder=recorder)
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -508,6 +511,55 @@ def expand_grid(
 
 
 # ----------------------------------------------------------- scenario library
+def _pair_jobs(
+    target: str,
+    background: Optional[str],
+    scale: float,
+    target_ranks: Optional[int],
+    background_ranks: Optional[int],
+) -> Tuple[AppSpec, ...]:
+    """Jobs of one pairwise co-run (``background=None`` -> standalone).
+
+    The background application gets an iteration count large enough to keep
+    injecting traffic for the whole target run (see
+    :data:`~repro.experiments.configs.BACKGROUND_ITERATION_BOOST`).  Rank
+    counts default to :data:`~repro.experiments.configs.PAIRWISE_RANKS`
+    (together roughly filling the 72-node benchmark system).
+    """
+    for app in (target, background):
+        if app is not None and app not in PAIRWISE_RANKS:
+            raise ValueError(
+                f"{app!r} has no pairwise job size; choose from {sorted(PAIRWISE_RANKS)}"
+            )
+    jobs = [AppSpec(target, target_ranks or PAIRWISE_RANKS[target], {"scale": scale})]
+    if background is not None:
+        if background == target:
+            raise ValueError("target and background must be different applications")
+        kwargs = {"scale": scale, "seed": 7, "iterations": BACKGROUND_ITERATION_BOOST[background]}
+        jobs.append(AppSpec(background, background_ranks or PAIRWISE_RANKS[background], kwargs))
+    return tuple(jobs)
+
+
+def _mix_jobs(total_nodes: int, scale: float) -> Tuple[AppSpec, ...]:
+    """The Table II mixed-workload jobs, scaled down to ``total_nodes``.
+
+    Each application receives a share of ``total_nodes`` proportional to its
+    paper job size (LQCD and Stencil5D get the larger shares so they can form
+    their high-dimensional process grids, exactly as in the paper).
+    """
+    total_fraction = sum(MIXED_WORKLOAD_FRACTIONS.values())
+    specs = []
+    for index, name in enumerate(PAPER_TABLE2_JOB_SIZES):
+        share = MIXED_WORKLOAD_FRACTIONS[name] / total_fraction
+        ranks = max(4, int(round(share * total_nodes)))
+        specs.append(AppSpec(name, ranks, {"scale": scale, "seed": 11 + index}))
+    # Trim if rounding overshot the node budget.
+    while sum(s.num_ranks for s in specs) > total_nodes:
+        largest = max(specs, key=lambda s: s.num_ranks)
+        specs[specs.index(largest)] = largest.with_ranks(largest.num_ranks - 1)
+    return tuple(specs)
+
+
 def table1_scenario(
     app: str, routing: str = "par", seed: int = 1, scale: float = 1.0
 ) -> Scenario:
@@ -532,9 +584,11 @@ def pairwise_scenario(
 ) -> Scenario:
     """Pairwise co-run scenario (``background=None`` -> standalone baseline).
 
-    Uses the same specs as :func:`repro.analysis.pairwise.pairwise_study`'s
-    interfered run, so sweeping this scenario reproduces the study's co-run
-    metrics bit-for-bit.  ``config`` overrides the default
+    ``pairwise/<target>+<background>`` and its ``pairwise/<target>``
+    baseline are the two halves of the Fig. 4 comparison that
+    :func:`repro.analysis.pairwise.comparison_rows` reads back from a store.
+    ``target_ranks``/``background_ranks`` override the half-system job
+    sizes, and ``config`` the default
     :func:`~repro.experiments.configs.bench_config` (e.g. for tiny test
     systems).
     """
@@ -544,15 +598,7 @@ def pairwise_scenario(
     name = f"pairwise/{target}+{background}" if background else f"pairwise/{target}"
     return Scenario(
         name=name,
-        jobs=tuple(
-            pairwise_specs(
-                target,
-                background,
-                scale=scale,
-                target_ranks=target_ranks,
-                background_ranks=background_ranks,
-            )
-        ),
+        jobs=_pair_jobs(target, background, scale, target_ranks, background_ranks),
         config=config if config is not None else bench_config(routing, seed=seed),
     )
 
@@ -567,7 +613,7 @@ def mixed_scenario(
     """The Table II mixed workload (six applications co-running)."""
     return Scenario(
         name="mixed/table2",
-        jobs=tuple(mixed_workload_specs(total_nodes=total_nodes, scale=scale)),
+        jobs=_mix_jobs(total_nodes, scale),
         config=config if config is not None else bench_config(routing, seed=seed),
     )
 
@@ -589,7 +635,7 @@ def mixed_solo_scenarios(
     config = config if config is not None else bench_config(routing, seed=seed)
     return [
         Scenario(name=f"mixed/solo/{spec.name}", jobs=(spec,), config=config)
-        for spec in mixed_workload_specs(total_nodes=total_nodes, scale=scale)
+        for spec in _mix_jobs(total_nodes, scale)
     ]
 
 
@@ -704,11 +750,21 @@ def scenario_names() -> List[str]:
 
 
 def get_scenario(name: str) -> Scenario:
-    """Build the registered scenario ``name`` (fresh instance per call)."""
+    """Build the scenario ``name`` (fresh instance per call).
+
+    Registered names resolve through the registry.  Any other
+    ``pairwise/<T>+<B>`` or ``pairwise/<T>`` name resolves through
+    :func:`pairwise_scenario`, so every pair of applications is reachable
+    by name, not just the registered presets.
+    """
     factory = _SCENARIO_FACTORIES.get(name)
-    if factory is None:
-        raise ValueError(f"unknown scenario {name!r}; choose from {scenario_names()}")
-    return factory()
+    if factory is not None:
+        return factory()
+    family, _, pair = name.partition("/")
+    if family == "pairwise" and pair:
+        target, _, background = pair.partition("+")
+        return pairwise_scenario(target, background or None)
+    raise ValueError(f"unknown scenario {name!r}; choose from {scenario_names()}")
 
 
 def _register_builtin_library() -> None:
@@ -763,8 +819,8 @@ def _register_builtin_library() -> None:
                 return scenario
         raise ValueError(f"no mixed-workload job named {app!r}")  # pragma: no cover
 
-    for spec in mixed_workload_specs():
-        register_scenario(f"mixed/solo/{spec.name}", partial(_solo, spec.name))
+    for app in PAPER_TABLE2_JOB_SIZES:
+        register_scenario(f"mixed/solo/{app}", partial(_solo, app))
 
 
 _register_builtin_library()

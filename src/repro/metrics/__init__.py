@@ -10,7 +10,7 @@
   congestion index (Figs 11, 12).
 """
 
-from repro.metrics.intensity import injection_rate_gbps, intensity_table, peak_ingress_volume
+from repro.metrics.intensity import injection_rate_gbps, peak_ingress_volume
 from repro.metrics.interference import InterferenceSummary, interference_summary
 from repro.metrics.latency import LatencySummary, latency_summary
 from repro.metrics.congestion import congestion_index_matrix, stall_time_by_group
@@ -20,7 +20,6 @@ __all__ = [
     "LatencySummary",
     "congestion_index_matrix",
     "injection_rate_gbps",
-    "intensity_table",
     "interference_summary",
     "latency_summary",
     "peak_ingress_volume",

@@ -22,10 +22,10 @@ from repro.network.nic import Nic
 from repro.network.packet import Message
 from repro.network.router import Router
 from repro.network.topology import DragonflyTopology, PortKind
-from repro.stats.collector import StatsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends import SimBackend
+    from repro.stats.collector import StatsCollector
 
 __all__ = ["DragonflyNetwork"]
 

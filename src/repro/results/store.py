@@ -21,14 +21,11 @@ Design:
   floats as IEEE doubles (bit-exact).
 * **Append-only**: :meth:`ResultStore.record` inserts with
   ``INSERT OR IGNORE`` — recorded values are never overwritten; re-recording
-  a known scenario only backfills metric rows it did not have yet (how
-  legacy imports acquire the per-application metrics).  Simulator changes
-  that alter numbers must bump
+  a known scenario only backfills metric rows it did not have yet (how a
+  run recorded by older code, with fewer metrics, acquires the current
+  ones).  Simulator changes that alter numbers must bump
   :data:`~repro.experiments.scenario.CACHE_VERSION`, which changes every
   hash and orphans (rather than corrupts) old rows.
-* A **one-shot importer** (:meth:`ResultStore.import_json_cache`) migrates
-  the pre-store sweep cache (a directory of ``<hash>.json`` files,
-  ``CACHE_VERSION`` 2) into the store; importing is idempotent.
 
 See ``docs/results.md`` for the on-disk schema and CLI workflows.
 """
@@ -40,7 +37,7 @@ import sqlite3
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.experiments.runner import RunResult
@@ -157,10 +154,10 @@ def ensure_uniform(runs: Sequence["StoredResult"], what: str) -> None:
 def mean_metric(runs: Sequence["StoredResult"], metric: str, app: Optional[str] = None) -> float:
     """Mean of one metric over the ``runs`` that carry it (cross-seed aggregation).
 
-    Runs lacking the metric — legacy JSON-cache imports, which carry only
-    coarse metrics — are skipped as long as at least one run has it, so a
-    backfill run recorded next to a coarse legacy row wins instead of the
-    pair dead-locking the report.  Raises ``ValueError`` when ``runs`` is
+    Runs lacking the metric — a store file is outside input, and a row
+    written by older code may carry only coarse metrics — are skipped as
+    long as at least one run has it, so a backfill run recorded next to a
+    coarse row wins instead of the pair dead-locking the report.  Raises ``ValueError`` when ``runs`` is
     empty or *no* run has the metric, naming the command that backfills it.
     """
     if not runs:
@@ -180,17 +177,15 @@ def mean_metric(runs: Sequence["StoredResult"], metric: str, app: Optional[str] 
         scale_hint = f" --scale {scales.pop()}" if len(scales) == 1 else ""
         raise ValueError(
             f"none of the {len(runs)} stored {run.name!r} run(s) has metric "
-            f"{join_metric(metric, app)!r}; legacy cache imports carry only "
-            f"coarse metrics — backfill by re-simulating, e.g. "
+            f"{join_metric(metric, app)!r}; rows recorded by older code may "
+            f"carry only coarse metrics — backfill by re-simulating, e.g. "
             f"'dragonfly-sim run {base} --routing {run.routing} "
             f"--seed {run.seed}{scale_hint} --placement {run.placement} "
             "--store PATH'"
         )
     return float(np.mean(values))
 
-#: Default store location used by the CLI.  It lives inside the legacy sweep
-#: cache directory so existing ``.sweep-cache/*.json`` entries sit next to
-#: (and are auto-imported into) the store that replaces them.
+#: Default store location used by the CLI.
 DEFAULT_STORE_PATH = ".sweep-cache/results.sqlite"
 
 _SCHEMA_VERSION = 1
@@ -387,10 +382,10 @@ class ResultStore:
 
         The store is append-only at the metric level: existing values are
         never overwritten, but re-recording a known scenario fills in any
-        metric rows it did not have yet.  That is what rescues runs imported
-        from the legacy JSON cache (which carries only the coarse metrics) —
-        simulating the scenario once with the current code backfills the
-        per-application metrics the reports need.  The one exception to
+        metric rows it did not have yet.  That is what rescues runs recorded
+        by older code with only coarse metrics — simulating the scenario
+        once with the current code backfills the per-application metrics the
+        reports need.  The one exception to
         append-only: a row whose stored scenario JSON no longer matches this
         scenario's canonical form (a stale serialization under the same
         hash) is replaced wholesale, so a re-simulated cell heals the store
@@ -427,10 +422,10 @@ class ResultStore:
                 if stored is None or stored[0] != canonical:
                     # The row under this hash describes a different scenario
                     # serialization — in practice a stale layout, not a real
-                    # sha256 collision.  Self-heal as the legacy JSON cache
-                    # did: the freshly simulated result is authoritative, so
-                    # replace the stale row wholesale (otherwise get() keeps
-                    # missing and every sweep re-simulates this cell forever).
+                    # sha256 collision.  Self-heal: the freshly simulated
+                    # result is authoritative, so replace the stale row
+                    # wholesale (otherwise get() keeps missing and every
+                    # sweep re-simulates this cell forever).
                     self._conn.execute("DELETE FROM metrics WHERE scenario_hash = ?", (key,))
                     self._conn.execute("DELETE FROM runs WHERE scenario_hash = ?", (key,))
                     self._conn.execute(
@@ -449,54 +444,6 @@ class ResultStore:
         from repro.results.schema import flatten_run
 
         return self.record(scenario, flatten_run(result), result.wall_seconds)
-
-    def import_json_cache(self, cache_dir: Union[str, Path]) -> int:
-        """One-shot import of a legacy JSON sweep cache (``<hash>.json`` files).
-
-        Only files holding the pre-store payload format at the current
-        :data:`~repro.experiments.scenario.CACHE_VERSION` are imported;
-        anything else is skipped.  Genuinely one-shot: a marker in the
-        ``meta`` table records that a directory was imported, so later calls
-        (every ``run_sweep`` against this store) skip the scan entirely
-        instead of re-parsing every JSON file.  Returns the number of newly
-        imported results.
-        """
-        directory = Path(cache_dir)
-        if not directory.is_dir():
-            return 0
-        marker = f"imported:{directory.resolve()}"
-        seen = self._conn.execute("SELECT 1 FROM meta WHERE key = ?", (marker,)).fetchone()
-        if seen is not None:
-            return 0
-        imported = 0
-        transient_failure = False
-        for path in sorted(directory.glob("*.json")):
-            # One corrupt or hand-edited entry must not abort the import (or
-            # the sweep that triggered it) — skip anything that fails to
-            # parse, validate, or record.
-            try:
-                payload = json.loads(path.read_text())
-                if payload.get("version") != CACHE_VERSION:
-                    continue
-                scenario = Scenario.from_dict(payload["scenario"])
-                metrics = dict(payload["metrics"])
-                if self.record(scenario, metrics, float(payload.get("wall_seconds", 0.0))):
-                    imported += 1
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # malformed entry: permanently skippable
-            except sqlite3.Error:
-                # Transient database contention: leave the marker unwritten
-                # so the next open retries these entries.
-                transient_failure = True
-                continue
-        if not transient_failure:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO meta(key, value) VALUES (?, ?)",
-                    # reprolint: disable=REP102 -- wall-clock provenance timestamp
-                    (marker, datetime.now(timezone.utc).isoformat(timespec="seconds")),
-                )
-        return imported
 
     # --------------------------------------------------------------- reading
     def get(self, scenario: Scenario) -> Optional[StoredResult]:

@@ -12,7 +12,6 @@ from repro.cli import main
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import (
-    CACHE_VERSION,
     Scenario,
     mixed_scenario,
     mixed_solo_scenarios,
@@ -90,7 +89,7 @@ def test_store_is_append_only_with_metric_backfill(tmp_path):
         assert not store.record(scenario, {"makespan_ns": -1.0})
         assert store.get(scenario).metrics["makespan_ns"] == FAKE_METRICS["makespan_ns"]
         # ...but re-recording backfills metrics the run did not have yet
-        # (how legacy JSON imports acquire the per-app metrics).
+        # (how a row written by older code acquires the per-app metrics).
         assert not store.record(scenario, {"total_msg_bytes/UR": 7})
         assert store.get(scenario).metrics == {**FAKE_METRICS, "total_msg_bytes/UR": 7}
 
@@ -215,25 +214,6 @@ def test_mean_metric_skips_coarse_legacy_rows():
     runs = store.runs_named("test/UR")
     assert len(runs) == 2
     assert mean_metric(runs, "comm_time_ns", "UR") == 42.0
-
-
-def test_import_json_cache_is_one_shot(tmp_path):
-    scenario = _tiny_scenario()
-    cache_dir = tmp_path / "legacy"
-    cache_dir.mkdir()
-    payload = {
-        "version": CACHE_VERSION,
-        "scenario": scenario.to_dict(),
-        "metrics": dict(FAKE_METRICS),
-        "wall_seconds": 2.0,
-    }
-    (cache_dir / f"{scenario_hash(scenario)}.json").write_text(json.dumps(payload))
-    (cache_dir / "not-a-cache-entry.json").write_text("{}")
-    (cache_dir / "old-version.json").write_text(json.dumps({**payload, "version": 1}))
-    with ResultStore(tmp_path / "r.sqlite") as store:
-        assert store.import_json_cache(cache_dir) == 1
-        assert store.import_json_cache(cache_dir) == 0  # idempotent
-        assert store.get(scenario).metrics == FAKE_METRICS
 
 
 def test_run_sweep_with_store_hits_every_point_when_warm(tmp_path):

@@ -6,11 +6,9 @@ import json
 
 import pytest
 
-from repro.analysis.pairwise import pairwise_study
 from repro.cli import build_parser, main
 from repro.config import RoutingConfig, SimulationConfig, tiny_system
-from repro.experiments.configs import AppSpec
-from repro.experiments.runner import run_workloads
+from repro.experiments.configs import PAPER_TABLE2_JOB_SIZES, AppSpec
 from repro.experiments.scenario import (
     CACHE_VERSION,
     Scenario,
@@ -26,7 +24,7 @@ from repro.experiments.scenario import (
     table1_scenario,
 )
 from repro.experiments.sweep import run_sweep
-from repro.placement import RandomPlacement
+from repro.results import flatten_run
 from repro.workloads import resolve_application
 
 
@@ -256,6 +254,19 @@ def test_builtin_scenario_library():
         register_scenario("mixed/table2", mixed_scenario)
 
 
+def test_get_scenario_resolves_any_pair_without_registering_it():
+    """Every valid pair is reachable by name; the registry stays unchanged."""
+    assert "pairwise/FFT3D+LU" not in scenario_names()
+    assert get_scenario("pairwise/FFT3D+LU") == pairwise_scenario("FFT3D", "LU")
+    assert get_scenario("pairwise/lulesh") == pairwise_scenario("LULESH", None)
+    with pytest.raises(ValueError, match="unknown application"):
+        get_scenario("pairwise/FFT3D+NotAnApp")
+    with pytest.raises(ValueError, match="different applications"):
+        get_scenario("pairwise/LU+LU")
+    with pytest.raises(ValueError, match="no pairwise job size"):
+        get_scenario("pairwise/trace")
+
+
 # -------------------------------------------------------------- grid expansion
 def test_expand_grid_covers_axes_with_deterministic_names():
     base = _tiny_scenario()
@@ -286,32 +297,20 @@ def test_scenario_run_executes_all_jobs():
     assert result.config is _tiny_scenario().config or result.config == _tiny_scenario().config
 
 
-def test_swept_pairwise_grid_matches_serial_pairwise_study_bit_for_bit():
-    base_config = SimulationConfig(system=tiny_system())
+def test_swept_pairwise_grid_matches_serial_scenario_runs_bit_for_bit():
     base = pairwise_scenario(
         "FFT3D", "Halo3D", scale=0.25, target_ranks=6, background_ranks=6,
-        config=base_config,
+        config=SimulationConfig(system=tiny_system()),
     )
     grid = expand_grid(base, routings=["par", "minimal"], seeds=[1, 2])
-    results = run_sweep(grid, workers=1)
+    results = run_sweep(grid, workers=2)
     assert len(results) == 4
     for scenario, result in zip(grid, results):
-        study = pairwise_study(
-            base_config.with_routing(scenario.config.routing.algorithm).with_seed(
-                scenario.config.seed
-            ),
-            "FFT3D",
-            "Halo3D",
-            scale=0.25,
-            target_ranks=6,
-            background_ranks=6,
-        )
+        serial = scenario.run()
         # Exact float equality: the sweep runs the very same co-run.
+        assert result.metrics == flatten_run(serial)
         assert result.metrics["comm_time_ns/FFT3D"] == float(
-            study.interfered.record("FFT3D").mean_comm_time
-        )
-        assert result.metrics["comm_time_ns/Halo3D"] == float(
-            study.interfered.record("Halo3D").mean_comm_time
+            serial.record("FFT3D").mean_comm_time
         )
 
 
@@ -487,14 +486,13 @@ def test_resolve_application_mirrors_other_registries():
         resolve_application("NotAnApp")
 
 
-def test_run_result_keys_are_canonical_for_both_placement_paths():
-    """Lowercase spec names key canonically whether placement is a name or an
-    instance, and the accessors resolve the caller's original spelling."""
+def test_run_result_keys_are_canonical():
+    """Lowercase spec names key canonically, and the accessors resolve the
+    caller's original spelling."""
     config = SimulationConfig(system=tiny_system(), seed=3).with_routing("par")
     spec = AppSpec("ur", 5, {"scale": 0.2})
-    by_name = run_workloads(config, [spec], placement="random")
-    by_instance = run_workloads(config, [spec], placement=RandomPlacement())
-    assert set(by_name.jobs) == set(by_instance.jobs) == {"UR"}
+    by_name = Scenario("test/ur", (spec,), config).run()
+    assert set(by_name.jobs) == {"UR"}
     assert set(by_name.placements) == {"UR"}
     assert by_name.record("ur").mean_comm_time == by_name.record("UR").mean_comm_time
     assert by_name.application("ur") is by_name.application("UR")
@@ -511,28 +509,16 @@ def test_with_updates_scale_overrides_every_job():
     assert all(spec.kwargs["scale"] == 0.3 for spec in _tiny_scenario().jobs)
 
 
-def test_run_workloads_accepts_placement_instance():
-    config = SimulationConfig(system=tiny_system(), seed=3).with_routing("par")
-    by_name = run_workloads(config, [AppSpec("UR", 6, {"scale": 0.3})], placement="random")
-    by_instance = run_workloads(
-        config, [AppSpec("UR", 6, {"scale": 0.3})], placement=RandomPlacement()
-    )
-    assert by_instance.completed
-    # Same policy, same seed stream -> identical placement and metrics.
-    assert by_instance.placements == by_name.placements
-    assert by_instance.record("UR").mean_comm_time == by_name.record("UR").mean_comm_time
-
-
 # ------------------------------------------------------------------------- CLI
 def test_cli_accepts_seed_and_scale_after_subcommand():
     parser = build_parser()
-    args = parser.parse_args(["table1", "--seed", "3", "--scale", "0.5"])
+    args = parser.parse_args(["run", "table1/UR", "--seed", "3", "--scale", "0.5"])
     assert args.seed == 3 and args.scale == 0.5
-    args = parser.parse_args(["--seed", "4", "table1"])
+    args = parser.parse_args(["--seed", "4", "run", "table1/UR"])
     assert args.seed == 4
     # Unset options stay absent (SUPPRESS) so subcommand defaults can't
     # clobber a value given before the subcommand.
-    args = parser.parse_args(["table1"])
+    args = parser.parse_args(["run", "table1/UR"])
     assert not hasattr(args, "seed")
 
 
@@ -559,7 +545,7 @@ def test_cli_run_and_scenarios_subcommands(tmp_path, capsys):
 def test_cli_dump_scenario_captures_invocations_without_simulating(tmp_path, capsys):
     path = tmp_path / "pairwise.json"
     assert main(
-        ["pairwise", "FFT3D", "Halo3D", "--routings", "par", "minimal",
+        ["sweep", "--scenario", "pairwise/FFT3D+Halo3D", "--routings", "par", "minimal",
          "--seed", "2", "--dump-scenario", str(path)]
     ) == 0
     capsys.readouterr()
@@ -569,12 +555,12 @@ def test_cli_dump_scenario_captures_invocations_without_simulating(tmp_path, cap
     assert all([spec.name for spec in s.jobs] == ["FFT3D", "Halo3D"] for s in scenarios)
 
     table1 = tmp_path / "table1.json"
-    assert main(["table1", "--dump-scenario", str(table1)]) == 0
+    assert main(["sweep", "--scenario", "table1/*", "--dump-scenario", str(table1)]) == 0
     capsys.readouterr()
     assert len(load_scenarios(table1)) == 9
 
     mixed = tmp_path / "mixed.json"
-    assert main(["mixed", "--routings", "par", "--dump-scenario", str(mixed)]) == 0
+    assert main(["run", "mixed/table2", "--dump-scenario", str(mixed)]) == 0
     capsys.readouterr()
     (mixed_sc,) = load_scenarios(mixed)
     assert mixed_sc == mixed_scenario()
@@ -622,10 +608,9 @@ def test_cli_run_applies_scale_override(tmp_path, capsys):
 def test_cli_sweep_runs_scenario_grid_with_caching(tmp_path, capsys):
     path = tmp_path / "pair.json"
     dump_scenarios(path, [_tiny_scenario()])
-    cache = tmp_path / "cache"
     argv = [
         "sweep", "--scenario", str(path), "--routings", "par", "minimal",
-        "--workers", "1", "--cache-dir", str(cache),
+        "--workers", "1", "--store", str(tmp_path / "results.sqlite"),
     ]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -635,3 +620,35 @@ def test_cli_sweep_runs_scenario_grid_with_caching(tmp_path, capsys):
     assert main(argv) == 0  # second run: all cells served from cache
     out = capsys.readouterr().out
     assert "True" in out.split("cached")[-1] or "True" in out
+
+
+def test_cli_sweep_mixed_family_applies_scale_to_every_job(tmp_path, capsys):
+    """``sweep --scenario 'mixed/*' --scale`` covers the mix and its solos."""
+    path = tmp_path / "mixed.json"
+    assert main(
+        ["sweep", "--scenario", "mixed/*", "--scale", "0.1", "--dump-scenario", str(path)]
+    ) == 0
+    capsys.readouterr()
+    scenarios = load_scenarios(path)
+    assert sorted(s.name for s in scenarios) == sorted(
+        ["mixed/table2"] + [f"mixed/solo/{app}" for app in PAPER_TABLE2_JOB_SIZES]
+    )
+    assert all(spec.kwargs["scale"] == 0.1 for s in scenarios for spec in s.jobs)
+    assert scenarios[-1] == mixed_scenario(scale=0.1)
+
+
+def test_cli_glob_matching_nothing_exits_2_naming_the_library(tmp_path, capsys):
+    for argv in (
+        ["sweep", "--scenario", "table9/*", "--dump-scenario", str(tmp_path / "x.json")],
+        ["run", "pairwise/Nope*"],
+        ["trace", "record", "nothing/*", "-o", str(tmp_path)],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "no scenario in the library matches" in err and "dragonfly-sim scenarios" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_trace_record_refuses_a_family(tmp_path, capsys):
+    assert main(["trace", "record", "table1/*", "-o", str(tmp_path)]) == 2
+    assert "records one at a time" in capsys.readouterr().err

@@ -1,172 +1,125 @@
 """Tests of the parallel sweep runner: grids, hashing, caching, determinism."""
 
-import json
-
 import pytest
 
-from repro.experiments.scenario import CACHE_VERSION
-from repro.experiments.sweep import (
-    SweepPoint,
-    SweepResult,
-    build_grid,
-    point_hash,
-    run_sweep,
-)
+from repro.config import SimulationConfig, tiny_system
+from repro.experiments.configs import AppSpec
+from repro.experiments.scenario import Scenario, expand_grid, scenario_hash
+from repro.experiments.sweep import run_sweep
 from repro.results import ResultStore
 
-#: Small-but-real sweep point: tiny system so every run finishes in well
+
+#: Small-but-real sweep cell: tiny system so every run finishes in well
 #: under a second.
-def _tiny_point(**overrides) -> SweepPoint:
-    fields = dict(
-        workload="UR", routing="par", seed=1, scale=0.2, ranks=8, system="tiny"
+def _tiny_scenario(routing="par", seed=1, scale=0.2, workload="UR") -> Scenario:
+    return Scenario(
+        name=f"sweep/{workload}",
+        jobs=(AppSpec(workload, 8, {"scale": scale}),),
+        config=SimulationConfig(system=tiny_system(), seed=seed, record_packets=True)
+        .with_routing(routing),
     )
-    fields.update(overrides)
-    return SweepPoint(**fields)
 
 
 def _tiny_grid():
-    return [
-        _tiny_point(routing=routing, seed=seed)
-        for routing in ("par", "q-adaptive")
-        for seed in (1, 2)
-    ]
+    return expand_grid(_tiny_scenario(), routings=["par", "q-adaptive"], seeds=[1, 2])
 
 
 # ------------------------------------------------------------------ grid/hash
-def test_build_grid_is_full_cartesian_product():
-    grid = build_grid(
-        workloads=["UR", "LU"],
+def test_expand_grid_is_full_cartesian_product():
+    grid = expand_grid(
+        [_tiny_scenario(workload="UR"), _tiny_scenario(workload="LU")],
         routings=["par", "minimal"],
         placements=["random", "contiguous"],
         seeds=[1, 2, 3],
-        system="tiny",
     )
     assert len(grid) == 2 * 2 * 2 * 3
-    assert len(set(grid)) == len(grid)  # frozen dataclass -> hashable, unique
-    assert all(p.system == "tiny" for p in grid)
+    assert len({scenario_hash(cell) for cell in grid}) == len(grid)  # unique cache keys
+    assert all(cell.config.system.num_nodes == 40 for cell in grid)  # tiny system
 
 
-def test_point_hash_stable_and_sensitive():
-    point = _tiny_point()
-    assert point_hash(point) == point_hash(_tiny_point())
-    assert point_hash(point) != point_hash(_tiny_point(seed=2))
-    assert point_hash(point) != point_hash(_tiny_point(routing="minimal"))
-    assert point_hash(point) != point_hash(_tiny_point(scale=0.3))
+def test_scenario_hash_stable_and_sensitive():
+    cell = _tiny_scenario()
+    assert scenario_hash(cell) == scenario_hash(_tiny_scenario())
+    assert scenario_hash(cell) != scenario_hash(_tiny_scenario(seed=2))
+    assert scenario_hash(cell) != scenario_hash(_tiny_scenario(routing="minimal"))
+    assert scenario_hash(cell) != scenario_hash(_tiny_scenario(scale=0.3))
 
 
-def test_sweep_point_validates_every_axis_at_construction():
+def test_grid_cells_validate_every_axis_at_construction():
     with pytest.raises(ValueError):
-        SweepPoint(workload="UR", system="huge")
+        _tiny_scenario(workload="NotAnApp")
     with pytest.raises(ValueError):
-        SweepPoint(workload="NotAnApp")
+        expand_grid(_tiny_scenario(), routings=["qadaptiv"])  # typo'd algorithm
     with pytest.raises(ValueError):
-        SweepPoint(workload="UR", routing="qadaptiv")  # typo'd algorithm
-    with pytest.raises(ValueError):
-        SweepPoint(workload="UR", placement="spread")
+        expand_grid(_tiny_scenario(), placements=["spread"])
 
 
-def test_sweep_point_canonicalizes_aliases_into_one_cache_entry():
-    point = SweepPoint(workload="UR", routing="ugal", placement="Random")
-    assert point.routing == "ugal-g"
-    assert point.placement == "random"
-    assert point_hash(point) == point_hash(SweepPoint(workload="UR", routing="ugal-g"))
+def test_grid_canonicalizes_aliases_into_one_cache_entry():
+    (aliased,) = expand_grid(_tiny_scenario(), routings=["ugal"], placements=["Random"])
+    assert aliased.config.routing.algorithm == "ugal-g"
+    assert aliased.placement == "random"
+    (canonical,) = expand_grid(_tiny_scenario(), routings=["ugal-g"], placements=["random"])
+    assert scenario_hash(aliased) == scenario_hash(canonical)
 
 
-def test_as_row_keeps_explicit_bandwidth_column():
-    default_row = SweepResult(
-        point=_tiny_point(), metrics={}, wall_seconds=0.0
-    ).as_row()
-    assert "link_bandwidth_gbps" not in default_row
-    swept_row = SweepResult(
-        point=_tiny_point(link_bandwidth_gbps=25.0), metrics={}, wall_seconds=0.0
-    ).as_row()
-    assert swept_row["link_bandwidth_gbps"] == 25.0
-
-
-def test_sweep_point_converts_to_single_job_scenario():
-    """The deprecated SweepPoint shim expands to an equivalent Scenario."""
-    point = _tiny_point()
-    scenario = point.to_scenario()
-    assert [spec.name for spec in scenario.jobs] == ["UR"]
-    assert scenario.jobs[0].num_ranks == 8
-    assert scenario.config.routing.algorithm == "par"
-    assert scenario.config.seed == 1
-    assert scenario.config.system.num_nodes == 40  # tiny system
-    assert point_hash(point) == point_hash(scenario)  # shared cache entry
+def test_run_sweep_accepts_only_scenarios():
+    with pytest.raises(TypeError, match="Scenario cells"):
+        run_sweep([_tiny_scenario(), "sweep/UR"])
 
 
 # ------------------------------------------------------------------ execution
 def test_run_sweep_serial_produces_metrics():
-    results = run_sweep([_tiny_point()], workers=1)
+    results = run_sweep([_tiny_scenario()], workers=1)
     assert len(results) == 1
     metrics = results[0].metrics
     assert metrics["makespan_ns"] > 0
     assert metrics["packets_injected"] == metrics["packets_ejected"] > 0
     assert not results[0].cached
     row = results[0].as_row()
-    assert row["workload"] == "UR" and row["makespan_ns"] > 0
+    assert row["jobs"] == "UR" and row["makespan_ns"] > 0
 
 
 def test_run_sweep_caches_results_in_store(tmp_path):
     store_path = tmp_path / "results.sqlite"
-    point = _tiny_point()
-    first = run_sweep([point], workers=1, store=store_path)
+    cell = _tiny_scenario()
+    first = run_sweep([cell], workers=1, store=store_path)
     assert not first[0].cached
     with ResultStore(store_path) as store:
-        # The store records the canonically-serialized scenario, not the point.
-        stored = store.get(point.to_scenario())
+        # The store records the canonically-serialized scenario.
+        stored = store.get(cell)
         assert stored is not None
-        assert stored.scenario == point.to_scenario().to_dict()
+        assert stored.scenario == cell.to_dict()
         assert stored.metrics == first[0].metrics
 
-    second = run_sweep([point], workers=1, store=store_path)
+    second = run_sweep([cell], workers=1, store=store_path)
     assert second[0].cached
     assert second[0].metrics == first[0].metrics
 
 
 def test_run_sweep_accepts_open_store(tmp_path):
-    point = _tiny_point()
+    cell = _tiny_scenario()
     with ResultStore(tmp_path / "r.sqlite") as store:
-        first = run_sweep([point], workers=1, store=store)
-        second = run_sweep([point], workers=1, store=store)
+        first = run_sweep([cell], workers=1, store=store)
+        second = run_sweep([cell], workers=1, store=store)
     assert not first[0].cached and second[0].cached
-
-
-def test_run_sweep_imports_legacy_json_cache(tmp_path):
-    """A pre-store cache_dir of <hash>.json entries keeps its hits."""
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    point = _tiny_point()
-    scenario = point.to_scenario()
-    payload = {
-        "version": CACHE_VERSION,
-        "scenario": scenario.to_dict(),
-        "metrics": {"makespan_ns": 123.0, "mean_comm_time_ns": 1.0},
-        "wall_seconds": 2.0,
-    }
-    (cache / f"{point_hash(point)}.json").write_text(json.dumps(payload))
-    results = run_sweep([point], workers=1, cache_dir=str(cache))
-    assert results[0].cached
-    assert results[0].metrics["makespan_ns"] == 123.0
-    assert (cache / "results.sqlite").is_file()
 
 
 def test_run_sweep_ignores_and_heals_stale_cache_entries(tmp_path):
     import sqlite3
 
     store_path = tmp_path / "results.sqlite"
-    point = _tiny_point()
-    run_sweep([point], workers=1, store=store_path)
+    cell = _tiny_scenario()
+    run_sweep([cell], workers=1, store=store_path)
     conn = sqlite3.connect(store_path)
     # Simulate a stale layout under the same hash: stored scenario != requested.
     conn.execute("UPDATE runs SET scenario_json = replace(scenario_json, '\"seed\":1', '\"seed\":999')")
     conn.commit()
     conn.close()
-    results = run_sweep([point], workers=1, store=store_path)
+    results = run_sweep([cell], workers=1, store=store_path)
     assert not results[0].cached
     # Recording the re-simulated result replaced the stale row (self-heal),
     # so the next sweep is warm again instead of re-simulating forever.
-    healed = run_sweep([point], workers=1, store=store_path)
+    healed = run_sweep([cell], workers=1, store=store_path)
     assert healed[0].cached
     assert healed[0].metrics == results[0].metrics
 
@@ -176,8 +129,8 @@ def test_run_sweep_parallel_matches_serial_exactly():
     grid = _tiny_grid()
     serial = run_sweep(grid, workers=1)
     parallel = run_sweep(grid, workers=4)
-    assert [r.point for r in serial] == grid
-    assert [r.point for r in parallel] == grid
+    assert [r.scenario for r in serial] == grid
+    assert [r.scenario for r in parallel] == grid
     for s, p in zip(serial, parallel):
         assert s.metrics == p.metrics  # exact float equality, not approx
 
@@ -185,7 +138,7 @@ def test_run_sweep_parallel_matches_serial_exactly():
 def test_run_sweep_reports_progress():
     seen = []
     run_sweep(
-        [_tiny_point(), _tiny_point(seed=2)],
+        [_tiny_scenario(), _tiny_scenario(seed=2)],
         workers=1,
         progress=lambda done, total, result: seen.append((done, total, result.cached)),
     )
@@ -195,10 +148,6 @@ def test_run_sweep_reports_progress():
 # ------------------------------------------------------- failure isolation
 def _failing_scenario(seed=1):
     """A scenario that raises inside run(): continuous injection, no bound."""
-    from repro.config import SimulationConfig, tiny_system
-    from repro.experiments.configs import AppSpec
-    from repro.experiments.scenario import Scenario
-
     return Scenario(
         name=f"sweep/unbounded-{seed}",
         jobs=(AppSpec("shift", 6, {"offered_load": 0.5}),),
@@ -212,7 +161,7 @@ def test_failing_cell_does_not_kill_the_sweep(tmp_path):
     from repro.results import ResultStore
 
     store_path = tmp_path / "results.sqlite"
-    grid = [_tiny_point(seed=1), _failing_scenario(), _tiny_point(seed=2)]
+    grid = [_tiny_scenario(seed=1), _failing_scenario(), _tiny_scenario(seed=2)]
     with pytest.raises(SweepError) as excinfo:
         run_sweep(grid, workers=1, store=store_path)
     error = excinfo.value
@@ -235,9 +184,9 @@ def test_failing_cell_does_not_kill_the_sweep(tmp_path):
 
     # Successes are cached; the failure is not (it must be re-attempted).
     with ResultStore(store_path) as store:
-        assert store.get(grid[0].to_scenario()) is not None
+        assert store.get(grid[0]) is not None
         assert store.get(grid[1]) is None
-        assert store.get(grid[2].to_scenario()) is not None
+        assert store.get(grid[2]) is not None
     with pytest.raises(SweepError) as again:
         run_sweep(grid, workers=1, store=store_path)
     assert [r.cached for r in again.value.results] == [True, False, True]
@@ -247,7 +196,7 @@ def test_failing_cell_is_isolated_across_worker_processes():
     """The failure comes back as a result through the pool, not a raise."""
     from repro.experiments.sweep import SweepError
 
-    grid = [_failing_scenario(), _tiny_point(seed=1), _tiny_point(seed=2)]
+    grid = [_failing_scenario(), _tiny_scenario(seed=1), _tiny_scenario(seed=2)]
     with pytest.raises(SweepError) as excinfo:
         run_sweep(grid, workers=2)
     results = excinfo.value.results
@@ -261,7 +210,7 @@ def test_fail_fast_stops_at_the_first_failure():
     from repro.experiments.sweep import SweepError
 
     seen = []
-    grid = [_tiny_point(seed=1), _failing_scenario(), _tiny_point(seed=2)]
+    grid = [_tiny_scenario(seed=1), _failing_scenario(), _tiny_scenario(seed=2)]
     with pytest.raises(SweepError) as excinfo:
         run_sweep(
             grid,
