@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
-from repro.flow import DEFAULT_FIDELITY
+from repro.flow import DEFAULT_FIDELITY, Network
 from repro.mpi.engine import MpiEngine, MpiJob
 from repro.network.network import DragonflyNetwork
 from repro.placement import create_placement
@@ -36,14 +36,15 @@ __all__ = ["RunResult"]
 class RunResult:
     """Everything produced by one simulation run.
 
-    At flow fidelity ``network`` is a :class:`repro.flow.network.FlowNetwork`
-    and ``stats`` a :class:`repro.flow.stats.FlowStats` (same engine-facing
-    surface).
+    ``network`` is a :class:`repro.network.network.DragonflyNetwork` at
+    packet fidelity and a :class:`repro.flow.network.FlowNetwork` at flow
+    fidelity; either records into one
+    :class:`~repro.stats.collector.StatsCollector`.
     """
 
     config: SimulationConfig
     sim: Simulator
-    network: DragonflyNetwork
+    network: Network
     engine: MpiEngine
     jobs: Dict[str, MpiJob]
     applications: Dict[str, Application]
@@ -148,6 +149,7 @@ def _execute(
     config = scenario.config
     started = time.perf_counter()
     sim = Simulator()
+    network: Network
     if config.fidelity == DEFAULT_FIDELITY:
         network = DragonflyNetwork(sim, config)
     else:
@@ -155,7 +157,7 @@ def _execute(
         # of packets (see repro.flow).
         from repro.flow.network import FlowNetwork
 
-        network = FlowNetwork(sim, config)  # type: ignore[assignment]
+        network = FlowNetwork(sim, config)
     engine = MpiEngine(network)
     engine.recorder = recorder
     allocator = NodeAllocator(network.num_nodes)

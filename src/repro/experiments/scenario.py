@@ -34,8 +34,10 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import get_args, get_type_hints
 
 if TYPE_CHECKING:  # pragma: no cover - runner imports scenario at runtime
     from repro.experiments.runner import RunResult
@@ -110,14 +112,45 @@ _TOP_KEYS = frozenset({"name", "system", "routing", "sim", "placement", "jobs"})
 _JOB_KEYS = frozenset({"name", "num_ranks", "kwargs", "start_time", "trace_hash"})
 
 
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Tuple[type, ...]]:
+    """The types each field of dataclass ``cls`` admits (``Optional`` unpacked)."""
+    return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+
+
+def _fits(value: object, kind: type) -> bool:
+    """Whether a JSON ``value`` fits ``kind``: an int is a float, a bool no number."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(cls: type, data: dict, where: str) -> None:
+    """Reject a value that does not fit its ``cls`` field's type.
+
+    An int stands for a float as given, not converted, so the scenario keeps
+    the canonical JSON (and hash) it was written with.
+    """
+    types = _field_types(cls)
+    for key, value in data.items():
+        if not any(_fits(value, kind) for kind in types[key]):
+            expected = " or ".join(
+                "null" if kind is type(None) else kind.__name__ for kind in types[key]
+            )
+            raise ValueError(
+                f"scenario field '{where}{key}' must be {expected}, got {value!r}"
+            )
+
+
 def _strict_dataclass(cls: type, data: dict, where: str) -> Any:
-    """Build dataclass ``cls`` from ``data``, rejecting unknown keys."""
+    """Build dataclass ``cls`` from ``data``, rejecting unknown keys and wrong types."""
     if not isinstance(data, dict):
         raise ValueError(f"scenario section {where!r} must be an object, got {type(data).__name__}")
     allowed = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValueError(f"unknown keys {unknown} in scenario section {where!r}")
+    _check_types(cls, data, f"{where}.")
     return cls(**data)
 
 
@@ -263,6 +296,8 @@ class Scenario:
         unknown_sim = sorted(set(sim) - set(_SIM_KNOBS))
         if unknown_sim:
             raise ValueError(f"unknown keys {unknown_sim} in scenario section 'sim'")
+        _check_types(SimulationConfig, sim, "sim.")
+        _check_types(cls, {key: data[key] for key in ("name", "placement") if key in data}, "")
         # Omitted sections fall back to SimulationConfig's own defaults (the
         # 72-node bench system, ugal-g routing) rather than re-deriving them.
         config_kwargs = dict(sim)
@@ -828,13 +863,22 @@ _register_builtin_library()
 
 # ------------------------------------------------------------------- file I/O
 def load_scenarios(path: Union[str, Path]) -> List[Scenario]:
-    """Load scenario(s) from a JSON file (one object or a list of objects)."""
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, dict):
-        return [Scenario.from_dict(payload)]
-    if isinstance(payload, list):
-        return [Scenario.from_dict(item) for item in payload]
-    raise ValueError(f"{path}: a scenario file must hold an object or a list of objects")
+    """Load scenario(s) from a JSON file (one object or a list of objects).
+
+    Raises ``ValueError`` prefixed with ``path`` when the file cannot be
+    read, is not JSON, or does not describe valid scenarios.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+        if isinstance(payload, dict):
+            return [Scenario.from_dict(payload)]
+        if isinstance(payload, list):
+            return [Scenario.from_dict(item) for item in payload]
+        raise ValueError("a scenario file must hold an object or a list of objects")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_scenarios(path: Union[str, Path], scenarios: Iterable[Scenario]) -> Path:

@@ -23,13 +23,23 @@ bit-equivalent: ``"flow"`` changes the numbers, so the fidelity is part of
 the scenario description (hashed when non-default; the default is never
 serialized, so every pre-existing scenario hash is byte-identical — see
 docs/fidelity.md).
+
+Both fidelities implement the :class:`Network` protocol and record into one
+:class:`~repro.stats.collector.StatsCollector`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Tuple
 
-__all__ = ["DEFAULT_FIDELITY", "FLOW_FIDELITY", "fidelity_names", "resolve_fidelity"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import SimulationConfig
+    from repro.core.engine import Simulator
+    from repro.core.rng import RngRegistry
+    from repro.network.packet import Message
+    from repro.stats.collector import StatsCollector
+
+__all__ = ["DEFAULT_FIDELITY", "FLOW_FIDELITY", "Network", "fidelity_names", "resolve_fidelity"]
 
 #: The fidelity every run uses unless told otherwise.
 DEFAULT_FIDELITY = "packet"
@@ -59,3 +69,31 @@ def resolve_fidelity(name: str) -> str:
         )
     return canonical
 
+
+class Network(Protocol):
+    """The surface of a simulated network that the layers above it use.
+
+    :class:`repro.network.network.DragonflyNetwork` (packet fidelity) and
+    :class:`repro.flow.network.FlowNetwork` (flow fidelity) both implement
+    it; :class:`repro.mpi.engine.MpiEngine` and the experiment runner use
+    nothing else of a network.
+    """
+
+    sim: Simulator
+    config: SimulationConfig
+    rng: RngRegistry
+    stats: StatsCollector
+    #: Called with every delivered message (set by the MPI engine).
+    on_message_delivered: Optional[Callable[[Message], None]]
+
+    @property
+    def num_nodes(self) -> int:
+        """Total compute nodes in the system."""
+
+    def send_message(
+        self, message: Message, on_delivery: Optional[Callable[[Message], None]] = None
+    ) -> Message:
+        """Inject ``message``; ``on_delivery`` is called once it has arrived."""
+
+    def quiescent(self) -> bool:
+        """True when nothing is in flight anywhere in the network."""

@@ -1,10 +1,10 @@
 """Flow-level network: messages as fluid flows over the Dragonfly topology.
 
-:class:`FlowNetwork` duck-types the engine-facing surface of
-:class:`repro.network.network.DragonflyNetwork` (``send_message``,
-``on_message_delivered``, ``num_nodes``, ``stats``, ``rng``, ``sim``,
-``config``), so :class:`repro.mpi.engine.MpiEngine` — and with it every
-workload's ``program()`` — runs unchanged at flow fidelity.
+:class:`FlowNetwork` and :class:`repro.network.network.DragonflyNetwork`
+both implement the engine-facing :class:`repro.flow.Network` protocol and
+record into one :class:`repro.stats.collector.StatsCollector`, so
+:class:`repro.mpi.engine.MpiEngine` — and with it every workload's
+``program()`` — runs unchanged at flow fidelity.
 
 The model
 ---------
@@ -60,9 +60,9 @@ from repro.config import SimulationConfig
 from repro.core.engine import EventHandle, Simulator
 from repro.core.events import EventKind
 from repro.core.rng import RngRegistry
-from repro.flow.stats import FlowStats
 from repro.network.packet import Message
 from repro.network.topology import DragonflyTopology
+from repro.stats.collector import StatsCollector
 
 __all__ = ["FlowNetwork"]
 
@@ -146,14 +146,14 @@ class FlowNetwork:
         self,
         sim: Simulator,
         config: SimulationConfig,
-        stats: Optional[FlowStats] = None,
+        stats: Optional[StatsCollector] = None,
         rng: Optional[RngRegistry] = None,
     ):
         self.sim = sim
         self.config = config
         self.topology = DragonflyTopology(config.system)
         self.rng = rng if rng is not None else RngRegistry(config.seed)
-        self.stats = stats if stats is not None else FlowStats(sim, config)
+        self.stats = stats if stats is not None else StatsCollector(sim, config)
 
         #: Global delivery callback (set by the MPI engine).
         self.on_message_delivered: Optional[Callable[[Message], None]] = None

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.workloads.base import Application
 
 from repro.core.events import EventKind
-from repro.network.network import DragonflyNetwork
+from repro.flow import Network
 from repro.network.packet import Message, MessageKind
 from repro.mpi import collectives as _collectives
 from repro.mpi.message import (
@@ -250,7 +250,7 @@ class _RankState:
 class MpiEngine:
     """Drives every job's rank programs over one Dragonfly network."""
 
-    def __init__(self, network: DragonflyNetwork):
+    def __init__(self, network: Network):
         self.network = network
         self.sim = network.sim
         self.config = network.config

@@ -1,7 +1,8 @@
 """Assembly of the full Dragonfly network: routers, NICs, links and routing.
 
-:class:`DragonflyNetwork` is the network-facing API of the simulator.  The
-MPI layer (and tests) use it through two calls:
+:class:`DragonflyNetwork` is the packet-level implementation of the
+:class:`repro.flow.Network` protocol.  The MPI layer (and tests) use it
+through two calls:
 
 * :meth:`send_message` — hand an application message to its source NIC;
 * :meth:`on_message_delivered` (callback) — invoked when a message has been
@@ -161,6 +162,7 @@ class DragonflyNetwork:
         if on_delivery is not None:
             self._message_callbacks[message.msg_id] = on_delivery
         self.nics[message.src_node].send_message(message)
+        self.stats.record_message_injected(message)
         return message
 
     def _message_delivered(self, message: Message) -> None:

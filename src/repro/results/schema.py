@@ -14,15 +14,17 @@ and the ``(metric, app)`` pair the store's ``metrics`` table uses.  Keeping
 one producer means the sweep cache, the result store and every report
 builder agree on metric names by construction.
 
-Scenario-level keys (always present):
+Scenario-level keys (the packet and flow ones only at that fidelity):
 
 ========================  =====================================================
 ``makespan_ns``           simulated time at which the run finished
 ``events_fired``          simulator events processed
-``packets_injected``      packets handed to the network
-``packets_ejected``       packets delivered
 ``bytes_ejected``         payload bytes delivered
-``total_port_stall_ns``   summed credit-stall time over all ports
+``packets_injected``      packet: packets handed to the network
+``packets_ejected``       packet: packets delivered
+``total_port_stall_ns``   packet: summed credit-stall time over all ports
+``messages_injected``     flow: messages handed to the network
+``messages_delivered``    flow: messages delivered
 ``mean_comm_time_ns``     mean of the per-job communication-time means
 ========================  =====================================================
 
@@ -53,18 +55,18 @@ over exactly these per-app rows.
 ``packet_latency_mean_ns``/``packet_latency_p99_ns`` are added when the run
 recorded per-packet latencies (``record_packets`` and at least one packet).
 
-**Flow-fidelity runs** (``SimulationConfig.fidelity = "flow"``, see
-docs/fidelity.md) have no packets, so packet-only keys
-(``packets_injected``, ``packets_ejected``, ``total_port_stall_ns``,
-``packet_latency_*``, ``measured_packet*``) are *omitted, not faked*.  In
-their place flow runs emit the message-level analogues —
-``messages_injected``, ``messages_delivered``,
+**Flow-fidelity runs** (see docs/fidelity.md) have no packets, so
+packet-only keys (``packets_*``, ``total_port_stall_ns``,
+``packet_latency_*``, ``measured_packet*``) are *omitted, not faked*; flow
+runs emit the message-level analogues instead —
 ``message_latency_mean_ns``/``message_latency_p99_ns`` and (windowed)
 ``measured_messages_injected``/``measured_messages_delivered`` plus
-``measured_message_latency_{mean,p50,p99}_ns``.  Keys shared by both
-fidelities (``makespan_ns``, ``bytes_ejected``, every per-application key,
-``accepted_throughput_gbps`` …) mean the same thing at either fidelity,
-which is what makes cross-fidelity comparison queries meaningful.
+``measured_message_latency_{mean,p50,p99}_ns``.  (The shared collector
+counts messages at packet fidelity too; packet runs do not emit them.)
+Keys shared by both fidelities (``makespan_ns``, ``bytes_ejected``, every
+per-application key, ``accepted_throughput_gbps`` …) mean the same thing at
+either fidelity, which is what makes cross-fidelity comparison queries
+meaningful.
 
 **Windowed runs** (``SimulationConfig.warmup_ns``/``measurement_ns`` set)
 additionally emit steady-state metrics computed over the measurement window
@@ -87,9 +89,13 @@ only — warmup transients are excluded from every one of them:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+
+from repro.flow import DEFAULT_FIDELITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    import numpy as np
+
     from repro.experiments.runner import RunResult
 
 __all__ = ["METRIC_SEP", "flatten_run", "join_metric", "split_metric"]
@@ -123,26 +129,40 @@ def flatten_run(result: "RunResult") -> Dict[str, Number]:
     the key schema documented in this module.
     """
     from repro.metrics.intensity import injection_rate_gbps
-    from repro.metrics.latency import latency_summary
 
     stats = result.stats
-    flow_fidelity = getattr(result, "fidelity", "packet") == "flow"
+    packet_level = result.config.fidelity == DEFAULT_FIDELITY
     metrics: Dict[str, Number] = {
         "makespan_ns": float(result.makespan_ns),
         "events_fired": int(result.sim.events_fired),
         "bytes_ejected": int(stats.total_bytes_ejected),
     }
-    if flow_fidelity:
-        # Flow-level runs have no packets: packet counters, stall accounting
-        # and packet-latency percentiles are *omitted, not faked*.  The
-        # message-level analogues below are what flow fidelity can honestly
-        # measure (see docs/fidelity.md).
-        metrics["messages_injected"] = int(stats.total_messages_injected)
-        metrics["messages_delivered"] = int(stats.total_messages_delivered)
-    else:
+    # Flow-level runs have no packets: packet counters, stall accounting and
+    # packet latencies are *omitted, not faked*; they report the message
+    # counters and latencies instead (see docs/fidelity.md).
+    latencies: Callable[[], "np.ndarray"]
+    measured_latencies: Callable[[], "np.ndarray"]
+    if packet_level:
         metrics["packets_injected"] = int(stats.total_packets_injected)
         metrics["packets_ejected"] = int(stats.total_packets_ejected)
         metrics["total_port_stall_ns"] = float(stats.port_stall.total())
+        measured_counts = {
+            "measured_packets_injected": int(stats.measured_packets_injected),
+            "measured_packets_ejected": int(stats.measured_packets_ejected),
+        }
+        unit = "packet"
+        latencies = stats.packet_latencies
+        measured_latencies = stats.measurement_packet_latencies
+    else:
+        metrics["messages_injected"] = int(stats.total_messages_injected)
+        metrics["messages_delivered"] = int(stats.total_messages_delivered)
+        measured_counts = {
+            "measured_messages_injected": int(stats.measured_messages_injected),
+            "measured_messages_delivered": int(stats.measured_messages_delivered),
+        }
+        unit = "message"
+        latencies = stats.message_latencies
+        measured_latencies = stats.measurement_message_latencies
 
     comm_times = []
     for name, job in result.jobs.items():
@@ -167,42 +187,19 @@ def flatten_run(result: "RunResult") -> Dict[str, Number]:
     # Aggregate column every row shares (equals the job's own value for
     # single-job scenarios, matching the pre-scenario sweep layout).
     metrics["mean_comm_time_ns"] = float(sum(comm_times) / len(comm_times))
-
-    if flow_fidelity:
-        latencies = stats.message_latencies()
-        if latencies.size:
-            metrics["message_latency_mean_ns"] = float(latencies.mean())
-            metrics["message_latency_p99_ns"] = float(
-                _percentile(latencies, 99.0)
-            )
-    elif result.config.record_packets:
-        latency = latency_summary(stats)
-        if latency.count:
-            metrics["packet_latency_mean_ns"] = latency.mean
-            metrics["packet_latency_p99_ns"] = latency.p99
+    _latency_rows(metrics, f"{unit}_latency", latencies(), (99,))
 
     if result.config.windowed:
         # Steady-state metrics over the measurement window only.  An empty
         # window (the run ended before warmup_ns did) raises a clear error
         # here rather than storing metrics that describe nothing.
-        window = stats.measurement_summary()
-        metrics["warmup_ns"] = float(window["warmup_ns"])
-        metrics["measurement_elapsed_ns"] = float(window["measurement_elapsed_ns"])
-        if flow_fidelity:
-            metrics["measured_messages_injected"] = int(
-                window["measured_messages_injected"]
-            )
-            metrics["measured_messages_delivered"] = int(
-                window["measured_messages_delivered"]
-            )
-        else:
-            metrics["measured_packets_injected"] = int(window["measured_packets_injected"])
-            metrics["measured_packets_ejected"] = int(window["measured_packets_ejected"])
-        metrics["measured_bytes_ejected"] = int(window["measured_bytes_ejected"])
+        elapsed = stats.measurement_elapsed_ns
+        metrics["warmup_ns"] = float(stats.warmup_ns)
+        metrics["measurement_elapsed_ns"] = float(elapsed)
+        metrics.update(measured_counts)
+        metrics["measured_bytes_ejected"] = int(stats.measured_bytes_ejected)
         # bytes/ns -> Gb/s (1 byte/ns == 8 Gb/s).
-        metrics["accepted_throughput_gbps"] = (
-            float(window["accepted_throughput_bytes_per_ns"]) * 8.0
-        )
+        metrics["accepted_throughput_gbps"] = stats.measured_bytes_ejected / elapsed * 8.0
         loads = [
             application.offered_load
             for application in result.applications.values()
@@ -210,29 +207,17 @@ def flatten_run(result: "RunResult") -> Dict[str, Number]:
         ]
         if loads:
             metrics["offered_load"] = float(sum(loads) / len(loads))
-        if flow_fidelity:
-            measured_latencies = stats.measurement_message_latencies()
-            if measured_latencies.size:
-                metrics["measured_message_latency_mean_ns"] = float(
-                    measured_latencies.mean()
-                )
-                metrics["measured_message_latency_p50_ns"] = float(
-                    _percentile(measured_latencies, 50.0)
-                )
-                metrics["measured_message_latency_p99_ns"] = float(
-                    _percentile(measured_latencies, 99.0)
-                )
-        elif result.config.record_packets:
-            measured = latency_summary(stats, measurement_only=True)
-            if measured.count:
-                metrics["measured_packet_latency_mean_ns"] = measured.mean
-                metrics["measured_packet_latency_p50_ns"] = measured.median
-                metrics["measured_packet_latency_p99_ns"] = measured.p99
+        _latency_rows(metrics, f"measured_{unit}_latency", measured_latencies(), (50, 99))
     return metrics
 
 
-def _percentile(values: "object", q: float) -> float:
-    """Percentile helper kept local so numpy stays a lazy import here."""
+def _latency_rows(
+    metrics: Dict[str, Number], prefix: str, latencies: "np.ndarray", percentiles: Tuple[int, ...]
+) -> None:
+    """Add ``<prefix>_mean_ns`` and ``<prefix>_p<q>_ns`` rows when there are samples."""
     import numpy as np
 
-    return float(np.percentile(values, q))
+    if latencies.size:
+        metrics[f"{prefix}_mean_ns"] = float(latencies.mean())
+        for q in percentiles:
+            metrics[f"{prefix}_p{q}_ns"] = float(np.percentile(latencies, q))

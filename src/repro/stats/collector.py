@@ -1,11 +1,16 @@
 """Central statistics collector (the paper's enhanced "IO module").
 
-All network components report events to one :class:`StatsCollector`; analysis
-code then reads its counters, packet records and time series after (or
-during) the run.  To keep memory bounded for large runs, per-packet records
-can be disabled (``SimulationConfig.record_packets = False``), in which case
-only aggregate counters and binned series are kept — mirroring the coalescing
-IO-module configuration described in Section III of the paper.
+Both fidelities report to one :class:`StatsCollector`; analysis code then
+reads its counters, packet records and time series after (or during) the
+run.  The message core (applications, message log, message counters and
+latencies, measurement window) is recorded at either fidelity; packet
+counters, binned series and stall accounting only at packet fidelity.
+Delivered bytes count per ejected packet, or per delivered message at flow
+fidelity, which has no packets.  To keep memory bounded for large runs,
+per-packet records can be disabled (``SimulationConfig.record_packets =
+False``), in which case only aggregate counters and binned series are kept
+— mirroring the coalescing IO-module configuration described in Section III
+of the paper.
 
 The collector is **measurement-window aware**: when the simulation config
 declares a steady-state window (``warmup_ns``/``measurement_ns``), injection
@@ -25,6 +30,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
+from repro.flow import DEFAULT_FIDELITY
 from repro.network.link import LinkKind
 from repro.network.packet import Message, Packet
 from repro.stats.appstats import ApplicationRecord
@@ -84,9 +90,18 @@ class StatsCollector:
         #: Per-application records registered by the workload layer.
         self.applications: Dict[int, ApplicationRecord] = {}
 
+        #: Whether the run has packets (packet fidelity).  Without them,
+        #: delivered bytes are counted per delivered message instead.
+        self.has_packets: bool = config.fidelity == DEFAULT_FIDELITY
         self.total_packets_injected = 0
         self.total_packets_ejected = 0
         self.total_bytes_ejected = 0
+        self.total_messages_injected = 0
+        self.total_messages_delivered = 0
+        #: Payload bytes of the injected messages.
+        self.total_bytes_injected = 0
+        #: The message log's entries in delivery order, across applications.
+        self._deliveries: List[tuple] = []
         self._bin_ns = bin_ns
 
         # ------------------------------------------- measurement window state
@@ -98,8 +113,9 @@ class StatsCollector:
         self.windowed: bool = config.windowed
         #: Counters restricted to the measurement window.
         self.measured_packets_injected = 0
-        self.measured_bytes_injected = 0
         self.measured_packets_ejected = 0
+        self.measured_messages_injected = 0
+        self.measured_messages_delivered = 0
         self.measured_bytes_ejected = 0
 
     # ----------------------------------------------------------- app setup
@@ -140,7 +156,6 @@ class StatsCollector:
         # path PR 1 optimized) pay one attribute check per packet, no more.
         if self.windowed and self.in_measurement(now):
             self.measured_packets_injected += 1
-            self.measured_bytes_injected += packet.size_bytes
         self._app_series(self.injected_bytes, packet.app_id).add(now, packet.size_bytes)
 
     # reprolint: hot
@@ -172,10 +187,28 @@ class StatsCollector:
                 )
             )
 
+    def record_message_injected(self, message: Message) -> None:
+        """A message was handed to the network at its source node."""
+        self.total_messages_injected += 1
+        self.total_bytes_injected += message.size_bytes
+        if self.windowed and self.in_measurement(self.sim.now):
+            self.measured_messages_injected += 1
+
     def record_message_delivered(self, message: Message) -> None:
-        """A full message was reassembled at its destination."""
-        log = self.message_log.setdefault(message.app_id, [])
-        log.append((message.create_time, message.deliver_time, message.size_bytes))
+        """A full message reached its destination node."""
+        now = self.sim.now
+        size_bytes = message.size_bytes
+        self.total_messages_delivered += 1
+        measured = self.windowed and self.in_measurement(now)
+        if measured:
+            self.measured_messages_delivered += 1
+        if not self.has_packets:
+            self.total_bytes_ejected += size_bytes
+            if measured:
+                self.measured_bytes_ejected += size_bytes
+        entry = (message.create_time, now, size_bytes)
+        self.message_log.setdefault(message.app_id, []).append(entry)
+        self._deliveries.append(entry)
 
     # reprolint: hot
     def record_port_stall(self, router: "Router", port: int, stall_ns: float, app_id: int) -> None:
@@ -214,6 +247,20 @@ class StatsCollector:
             ]
         )
 
+    def message_latencies(self) -> np.ndarray:
+        """End-to-end (create to deliver) message latencies in delivery order, ns."""
+        return np.array([deliver - create for create, deliver, _ in self._deliveries])
+
+    def measurement_message_latencies(self) -> np.ndarray:
+        """Latencies of messages *delivered inside the measurement window* (ns)."""
+        return np.array(
+            [
+                deliver - create
+                for create, deliver, _ in self._deliveries
+                if self.in_measurement(deliver)
+            ]
+        )
+
     @property
     def measurement_elapsed_ns(self) -> float:
         """Length of the *observed* measurement window, ns.
@@ -235,27 +282,21 @@ class StatsCollector:
             )
         return elapsed
 
-    def accepted_throughput_bytes_per_ns(self) -> float:
-        """Accepted (delivered) throughput over the measurement window.
-
-        System-wide delivered payload bytes per nanosecond, counting only
-        ejections inside the measurement window — the y-axis companion of an
-        offered-load sweep.
-        """
-        return self.measured_bytes_ejected / self.measurement_elapsed_ns
-
     def measurement_summary(self) -> dict:
         """Window-restricted counters and rates (windowed runs only)."""
         elapsed = self.measurement_elapsed_ns
-        return {
+        window = {
             "warmup_ns": self.warmup_ns,
             "measurement_elapsed_ns": elapsed,
-            "measured_packets_injected": self.measured_packets_injected,
-            "measured_bytes_injected": self.measured_bytes_injected,
-            "measured_packets_ejected": self.measured_packets_ejected,
+            "measured_messages_injected": self.measured_messages_injected,
+            "measured_messages_delivered": self.measured_messages_delivered,
             "measured_bytes_ejected": self.measured_bytes_ejected,
             "accepted_throughput_bytes_per_ns": self.measured_bytes_ejected / elapsed,
         }
+        if self.has_packets:
+            window["measured_packets_injected"] = self.measured_packets_injected
+            window["measured_packets_ejected"] = self.measured_packets_ejected
+        return window
 
     def app_throughput_series(self, app_id: int) -> tuple:
         """(times, GB/ms) series of delivered bytes for one application.
@@ -279,12 +320,16 @@ class StatsCollector:
             # earlier, which would inflate now_ns on early-finishing runs
             # (the convention metrics/congestion.py already follows).
             "now_ns": self.sim.last_event_time,
-            "packets_injected": self.total_packets_injected,
-            "packets_ejected": self.total_packets_ejected,
+            "fidelity": self.config.fidelity,
+            "messages_injected": self.total_messages_injected,
+            "messages_delivered": self.total_messages_delivered,
             "bytes_ejected": self.total_bytes_ejected,
             "applications": {a: r.summary() for a, r in self.applications.items()},
-            "total_port_stall_ns": self.port_stall.total(),
         }
+        if self.has_packets:
+            summary["packets_injected"] = self.total_packets_injected
+            summary["packets_ejected"] = self.total_packets_ejected
+            summary["total_port_stall_ns"] = self.port_stall.total()
         if self.windowed:
             summary["measurement"] = self.measurement_summary()
         return summary

@@ -35,10 +35,18 @@ from repro.experiments.scenario import (
     scenario_hash,
 )
 from repro.core.engine import Simulator
-from repro.flow import DEFAULT_FIDELITY, FLOW_FIDELITY, fidelity_names, resolve_fidelity
+from repro.flow import (
+    DEFAULT_FIDELITY,
+    FLOW_FIDELITY,
+    Network,
+    fidelity_names,
+    resolve_fidelity,
+)
 from repro.flow.network import _MIN_RATE, FlowNetwork
+from repro.network.network import DragonflyNetwork
 from repro.network.packet import Message
 from repro.results import ResultStore, flatten_run
+from repro.stats.collector import StatsCollector
 
 
 def _tiny_scenario(fidelity=None, **config_overrides) -> Scenario:
@@ -146,6 +154,26 @@ def test_cli_sweep_fidelities_stores_one_run_per_fidelity(tmp_path, capsys):
     assert "packets_ejected" in packet.metrics
     assert [run.name for run in flow] == ["flowtest/UR[fidelity=flow]"]
     assert "packets_ejected" not in flow[0].metrics
+
+
+@pytest.mark.parametrize("fidelity", fidelity_names())
+def test_both_networks_provide_every_network_protocol_member(fidelity):
+    """Each fidelity's network offers every member of :class:`repro.flow.Network`
+    and records into the one shared :class:`StatsCollector`."""
+    members = {name for name in vars(Network) if not name.startswith("_")}
+    members |= set(Network.__annotations__)
+    assert members == {
+        "send_message", "on_message_delivered", "stats", "rng", "sim", "config",
+        "num_nodes", "quiescent",
+    }
+    config = SimulationConfig(system=tiny_system()).with_fidelity(fidelity)
+    network_cls = DragonflyNetwork if fidelity == DEFAULT_FIDELITY else FlowNetwork
+    network = network_cls(Simulator(), config)
+    missing = sorted(name for name in members if not hasattr(network, name))
+    assert not missing, f"{network_cls.__name__} lacks {missing}"
+    assert type(network.stats) is StatsCollector
+    assert network.num_nodes == config.system.num_nodes
+    assert network.quiescent()
 
 
 # ------------------------------------------------------------------ solver
@@ -378,7 +406,7 @@ def test_every_routing_algorithm_completes_at_flow_fidelity(routing):
     assert result.completed
     stats = result.stats
     assert stats.total_messages_injected == stats.total_messages_delivered > 0
-    assert stats.total_bytes_injected == stats.total_bytes_delivered > 0
+    assert stats.total_bytes_injected == stats.total_bytes_ejected > 0
     assert result.network.quiescent()
 
 

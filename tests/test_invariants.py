@@ -7,6 +7,9 @@ application and synthetic workloads (with and without staggered arrivals):
 
 * **packet conservation** — every packet injected into the network is
   delivered exactly once, and the network drains completely;
+* **message conservation** — at either fidelity, every message handed to
+  the network is delivered and logged exactly once, with every payload byte
+  accounted for, in the statistics collector both fidelities share;
 * **credit/buffer conservation** — flow-control credits never go negative
   or exceed the downstream buffer depth (enforced at runtime by
   ``CreditTracker`` and the router's FIFO overflow check raising), and
@@ -98,6 +101,29 @@ CASES = [
 ]
 
 
+def _assert_messages_conserved(stats):
+    """Every injected message is delivered and logged exactly once.
+
+    Runs through the collector both fidelities record into; delivered bytes
+    are counted per packet at packet fidelity and per message at flow
+    fidelity, and the two must agree with the injected messages' payload.
+    """
+    assert stats.total_messages_injected > 0
+    assert stats.total_messages_delivered == stats.total_messages_injected
+    assert stats.total_bytes_ejected == stats.total_bytes_injected
+    delivered_in_logs = sum(len(log) for log in stats.message_log.values())
+    assert delivered_in_logs == stats.total_messages_delivered
+    for log in stats.message_log.values():
+        for create, deliver, size in log:
+            assert deliver >= create
+            assert size > 0
+
+    # --- every end-to-end latency is positive and finite.
+    latencies = stats.message_latencies()
+    assert latencies.size == stats.total_messages_delivered
+    assert (latencies > 0).all()
+
+
 @pytest.mark.parametrize("algorithm,case", CASES, ids=[f"{a}-{c}" for a, c in CASES])
 def test_invariants_hold_for_randomized_scenarios(algorithm, case):
     sim, network, engine = _run(algorithm, case)
@@ -112,6 +138,7 @@ def test_invariants_hold_for_randomized_scenarios(algorithm, case):
     for record in stats.packet_records:
         assert record.eject_time >= record.inject_time
         assert record.hops >= 1
+    _assert_messages_conserved(stats)
 
     # --- credit/buffer conservation: every credit returned, none over-returned.
     for router in network.routers:
@@ -299,22 +326,9 @@ def test_invariants_hold_at_flow_fidelity(algorithm, case):
     stats = network.stats
 
     # --- message/byte conservation: injected == delivered exactly once.
-    assert stats.total_messages_injected > 0
-    assert stats.total_messages_delivered == stats.total_messages_injected
-    assert stats.total_bytes_delivered == stats.total_bytes_injected
-    delivered_in_logs = sum(len(log) for log in stats.message_log.values())
-    assert delivered_in_logs == stats.total_messages_delivered
+    _assert_messages_conserved(stats)
     assert network.quiescent(), "flows left in flight after completion"
     assert network.active_flows == 0
-    for log in stats.message_log.values():
-        for create, deliver, size in log:
-            assert deliver >= create
-            assert size > 0
-
-    # --- every end-to-end latency is positive and finite.
-    latencies = stats.message_latencies()
-    assert latencies.size == stats.total_messages_delivered
-    assert (latencies > 0).all()
 
     # --- monotone clock: fired events never travel back in time.
     times = [time for time, _kind, _name in sim.trace_log]

@@ -97,6 +97,46 @@ def test_from_dict_rejects_unknown_keys_at_every_level():
             Scenario.from_dict(data)
 
 
+#: (section, field, value) of a mistyped scenario field; section None is the
+#: top level.
+MISTYPED_FIELDS = [
+    ("sim", "seed", "x"),
+    ("sim", "seed", True),
+    ("sim", "record_packets", "no"),
+    ("sim", "stats_bin_ns", "x"),
+    ("sim", "max_events", "x"),
+    ("sim", "max_time_ns", False),
+    ("system", "global_latency_ns", "x"),
+    ("system", "buffer_packets", "x"),
+    ("system", "link_bandwidth_gbps", True),
+    ("routing", "q_learning_rate", "x"),
+    ("routing", "nonminimal_candidates", "x"),
+    (None, "placement", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    MISTYPED_FIELDS,
+    ids=[f"{section or 'top'}.{key}={value!r}" for section, key, value in MISTYPED_FIELDS],
+)
+def test_from_dict_rejects_mistyped_fields_naming_them(section, key, value):
+    data = json.loads(_tiny_scenario().to_json())
+    (data if section is None else data[section])[key] = value
+    field_name = key if section is None else f"{section}.{key}"
+    with pytest.raises(ValueError, match=f"'{field_name}'"):
+        Scenario.from_dict(data)
+
+
+def test_from_dict_keeps_an_int_given_for_a_float_as_is():
+    data = json.loads(_tiny_scenario().to_json())
+    data["system"]["global_latency_ns"] = 300
+    data["sim"]["max_time_ns"] = 5_000_000
+    scenario = Scenario.from_dict(data)
+    assert type(scenario.config.system.global_latency_ns) is int
+    assert scenario.to_dict() == data
+
+
 def test_from_dict_requires_name_and_jobs_but_defaults_the_rest():
     with pytest.raises(ValueError):
         Scenario.from_dict({"jobs": [{"name": "UR", "num_ranks": 4}]})
@@ -540,6 +580,21 @@ def test_cli_run_and_scenarios_subcommands(tmp_path, capsys):
     assert main(["scenarios", "table1/UR"]) == 0
     described = json.loads(capsys.readouterr().out)
     assert Scenario.from_dict(described) == table1_scenario("UR")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["sweep", "--scenario"], ["trace", "record"]],
+    ids=["run", "sweep", "trace-record"],
+)
+def test_cli_reports_an_unreadable_scenario_file_by_path(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.json"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"name": "x",\n')
+    for path, reason in [(missing, "No such file"), (malformed, "Expecting")]:
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {reason}"), err
 
 
 def test_cli_dump_scenario_captures_invocations_without_simulating(tmp_path, capsys):
