@@ -83,17 +83,17 @@ class Network(Protocol):
     config: SimulationConfig
     rng: RngRegistry
     stats: StatsCollector
-    #: Called with every delivered message (set by the MPI engine).
+    #: The one delivery callback: called with every delivered message (set
+    #: by the MPI engine, which dispatches on the message's ``kind`` and its
+    #: protocol ``payload``, an envelope the network never reads).
     on_message_delivered: Optional[Callable[[Message], None]]
 
     @property
     def num_nodes(self) -> int:
         """Total compute nodes in the system."""
 
-    def send_message(
-        self, message: Message, on_delivery: Optional[Callable[[Message], None]] = None
-    ) -> Message:
-        """Inject ``message``; ``on_delivery`` is called once it has arrived."""
+    def send_message(self, message: Message) -> Message:
+        """Inject ``message``; :attr:`on_message_delivered` gets it once it has arrived."""
 
     def quiescent(self) -> bool:
         """True when nothing is in flight anywhere in the network."""

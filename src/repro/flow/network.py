@@ -52,7 +52,7 @@ bit-equivalent.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -73,23 +73,18 @@ _EPS_BYTES = 1e-6
 #: (which would push the next-finish event to infinity).
 _MIN_RATE = 1e-9
 
-#: Key of a directed bandwidth resource: ``("inj", node)``, ``("ej", node)``
-#: or ``(src_router, dst_router)``.
-_LinkKey = Union[Tuple[str, int], Tuple[int, int]]
-
 _ADAPTIVE_ALGORITHMS = frozenset({"ugal-g", "ugal-n", "par", "q-adaptive"})
 
 
 class _FlowLink:
     """One directed bandwidth resource and the flows currently crossing it."""
 
-    __slots__ = ("key", "capacity", "flows", "residual", "unfrozen", "epoch")
+    __slots__ = ("capacity", "flows", "residual", "unfrozen", "epoch")
 
-    def __init__(self, key: _LinkKey, capacity: float):
-        self.key = key
+    def __init__(self, capacity: float):
         self.capacity = capacity
-        #: flow_id -> _Flow, insertion-ordered (determinism).
-        self.flows: Dict[int, "_Flow"] = {}
+        #: The flows crossing the link, in start order (determinism).
+        self.flows: List["_Flow"] = []
         # Progressive-filling scratch state.
         self.residual = capacity
         self.unfrozen = 0
@@ -155,10 +150,8 @@ class FlowNetwork:
         self.rng = rng if rng is not None else RngRegistry(config.seed)
         self.stats = stats if stats is not None else StatsCollector(sim, config)
 
-        #: Global delivery callback (set by the MPI engine).
+        #: Delivery callback (set by the MPI engine).
         self.on_message_delivered: Optional[Callable[[Message], None]] = None
-        #: Per-message delivery callbacks registered through send_message().
-        self._message_callbacks: Dict[int, Callable[[Message], None]] = {}
 
         self._routing_rng: np.random.Generator = self.rng.get("routing")
         algorithm = config.routing.algorithm
@@ -166,12 +159,10 @@ class FlowNetwork:
         self._valiant = algorithm == "valiant"
 
         self._capacity = config.system.link_bandwidth_bytes_per_ns
-        #: Every bandwidth resource ever touched, created lazily — a 100k-node
-        #: system only materializes the links its traffic actually crosses.
-        self._links: Dict[_LinkKey, _FlowLink] = {}
-        #: Terminal links by node id (int keys: cheaper hashing on the
-        #: per-message fast path than the tuple keys of ``_links``, where the
-        #: same objects are also registered for the solver's benefit).
+        #: Bandwidth resources are created lazily — a 100k-node system only
+        #: materializes the links its traffic actually crosses.  Inter-router
+        #: links by ``(src_router, dst_router)``, terminal links by node id.
+        self._links: Dict[Tuple[int, int], _FlowLink] = {}
         self._inj_links: Dict[int, _FlowLink] = {}
         self._ej_links: Dict[int, _FlowLink] = {}
         #: Minimal-route cache: ``src_router * R + dst_router`` -> (inter-
@@ -180,8 +171,6 @@ class FlowNetwork:
         #: hit per distinct router pair — the difference between seconds and
         #: minutes for 100k-endpoint scenarios.
         self._minimal_routes: Dict[int, Tuple[List[_FlowLink], float]] = {}
-        #: Links currently carrying at least one flow (insertion-ordered).
-        self._active_links: Dict[_LinkKey, _FlowLink] = {}
         #: Active flows by message id (insertion-ordered).
         self._flows: Dict[int, _Flow] = {}
 
@@ -199,23 +188,19 @@ class FlowNetwork:
         self._finish_handle: Optional[EventHandle] = None
 
     # ------------------------------------------------------------ messaging
-    def send_message(
-        self,
-        message: Message,
-        on_delivery: Optional[Callable[[Message], None]] = None,
-    ) -> Message:
+    def send_message(self, message: Message) -> Message:
         """Inject ``message`` as a fluid flow at its source node."""
-        if on_delivery is not None:
-            self._message_callbacks[message.msg_id] = on_delivery
         topo = self.topology
         src_router = topo.router_of_node_table[message.src_node]
         dst_router = topo.router_of_node_table[message.dst_node]
         if not (self._valiant or self._adaptive):
             # Minimal routing: the route is static, serve it from the cache.
             route, latency = self._minimal_route(src_router, dst_router)
-            links = [self._terminal_link(self._inj_links, "inj", message.src_node)]
-            links.extend(route)
-            links.append(self._terminal_link(self._ej_links, "ej", message.dst_node))
+            links = [
+                self._terminal_link(self._inj_links, message.src_node),
+                *route,
+                self._terminal_link(self._ej_links, message.dst_node),
+            ]
         else:
             path = self._select_path(src_router, dst_router)
             links = self._path_links(message.src_node, message.dst_node, path)
@@ -225,9 +210,7 @@ class FlowNetwork:
         self._flows[message.msg_id] = flow
         self._changed.append(flow)
         for link in links:
-            if not link.flows:
-                self._active_links[link.key] = link
-            link.flows[message.msg_id] = flow
+            link.flows.append(flow)
         self.stats.record_message_injected(message)
         self._mark_dirty()
         return message
@@ -292,10 +275,10 @@ class FlowNetwork:
         self, src_node: int, dst_node: int, path: List[int]
     ) -> List[_FlowLink]:
         """Bandwidth resources of a flow: injection, per-hop, ejection links."""
-        links = [self._terminal_link(self._inj_links, "inj", src_node)]
-        seen = {links[0].key}
+        links = [self._terminal_link(self._inj_links, src_node)]
+        seen: Set[Tuple[int, int]] = set()
         for here, there in zip(path, path[1:]):
-            key: _LinkKey = (here, there)
+            key = (here, there)
             if key in seen:
                 # A Valiant detour may revisit a link; charge one share there
                 # (documented approximation) instead of double-counting the
@@ -303,22 +286,20 @@ class FlowNetwork:
                 continue
             seen.add(key)
             links.append(self._link(key))
-        links.append(self._terminal_link(self._ej_links, "ej", dst_node))
+        links.append(self._terminal_link(self._ej_links, dst_node))
         return links
 
-    def _link(self, key: _LinkKey) -> _FlowLink:
+    def _link(self, key: Tuple[int, int]) -> _FlowLink:
         link = self._links.get(key)
         if link is None:
-            link = _FlowLink(key, self._capacity)
+            link = _FlowLink(self._capacity)
             self._links[key] = link
         return link
 
-    def _terminal_link(
-        self, cache: Dict[int, _FlowLink], kind: str, node: int
-    ) -> _FlowLink:
+    def _terminal_link(self, cache: Dict[int, _FlowLink], node: int) -> _FlowLink:
         link = cache.get(node)
         if link is None:
-            link = self._link((kind, node))
+            link = _FlowLink(self._capacity)
             cache[node] = link
         return link
 
@@ -378,18 +359,26 @@ class FlowNetwork:
         self._progress_time = now
 
     def _settle_finished(self) -> None:
-        """Retire every flow whose volume is fully transferred."""
+        """Retire every flow whose volume is fully transferred.
+
+        Each link a finished flow crossed is compacted once, keeping its
+        other flows in start order.
+        """
         finished = [
             flow for flow in self._flows.values() if flow.remaining <= _EPS_BYTES
         ]
         self._changed.extend(finished)
+        self._epoch += 1
+        epoch = self._epoch
         for flow in finished:
             message = flow.message
             del self._flows[message.msg_id]
             for link in flow.links:
-                del link.flows[message.msg_id]
-                if not link.flows:
-                    del self._active_links[link.key]
+                if link.epoch != epoch:
+                    link.epoch = epoch
+                    link.flows = [
+                        other for other in link.flows if other.remaining > _EPS_BYTES
+                    ]
             message.inject_end_time = self.sim.now
             # The tail of the pipelined transfer arrives one path latency
             # after the last byte left the source.
@@ -400,9 +389,6 @@ class FlowNetwork:
     def _deliver(self, message: Message) -> None:
         message.deliver_time = self.sim.now
         self.stats.record_message_delivered(message)
-        callback = self._message_callbacks.pop(message.msg_id, None)
-        if callback is not None:
-            callback(message)
         if self.on_message_delivered is not None:
             self.on_message_delivered(message)
 
@@ -438,7 +424,7 @@ class FlowNetwork:
         for link in links:
             link.residual = link.capacity
             link.unfrozen = len(link.flows)
-            for flow in link.flows.values():
+            for flow in link.flows:
                 if flow.epoch != epoch:
                     flow.epoch = epoch
                     flow.frozen = False
@@ -490,7 +476,7 @@ class FlowNetwork:
             epoch += 1
             touched: List[_FlowLink] = []
             for link in bottlenecks:
-                for flow in link.flows.values():
+                for flow in link.flows:
                     if flow.frozen:
                         continue
                     flow.frozen = True

@@ -19,9 +19,8 @@ only then move the payload (rendezvous).
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Generator, Iterator, List, Optional, Sequence, Set, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.traces.recorder import TraceRecorder
@@ -38,6 +37,7 @@ from repro.mpi.message import (
     MailBox,
     MpiRequest,
     RecvRequest,
+    Rendezvous,
     SendRequest,
 )
 from repro.stats.appstats import ApplicationRecord, IterationRecord
@@ -48,8 +48,9 @@ __all__ = ["ComputeOp", "MpiEngine", "MpiJob", "RankContext", "RankOp", "RankPro
 CONTROL_MESSAGE_BYTES = 64
 
 _COMPUTE_DONE = EventKind.COMPUTE_DONE
-
-_xid_counter = itertools.count(1)
+_DATA = MessageKind.DATA
+_RTS = MessageKind.RTS
+_CTS = MessageKind.CTS
 
 
 class ComputeOp:
@@ -126,6 +127,8 @@ class MpiJob:
 
 class RankContext:
     """Per-rank API handed to workload programs."""
+
+    __slots__ = ("engine", "job", "rank", "node", "_collective_seq", "_iteration_stack")
 
     def __init__(self, engine: "MpiEngine", job: MpiJob, rank: int):
         self.engine = engine
@@ -233,7 +236,11 @@ class RankContext:
 
 
 class _RankState:
-    """Execution state of one rank's generator program."""
+    """Execution state of one rank's generator program.
+
+    While the program waits, the state is the ``waiter`` of every request it
+    waits on: each completion counts ``pending`` down, the last resumes it.
+    """
 
     __slots__ = ("job", "rank", "context", "generator", "block_start", "pending", "finished")
 
@@ -246,6 +253,11 @@ class _RankState:
         self.pending: int = 0
         self.finished = False
 
+    def __call__(self, request: MpiRequest) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.context.engine._resume(self)
+
 
 class MpiEngine:
     """Drives every job's rank programs over one Dragonfly network."""
@@ -256,11 +268,11 @@ class MpiEngine:
         self.config = network.config
         self.jobs: List[MpiJob] = []
         self._started = False
-        self._ranks: Dict[tuple, _RankState] = {}
-        self._mailboxes: Dict[tuple, MailBox] = {}
-        self._node_to_rank: Dict[tuple, int] = {}
-        self._pending_sends: Dict[tuple, dict] = {}
-        self._pending_recv_xid: Dict[tuple, RecvRequest] = {}
+        #: Per job: the rank states, filled when the job starts.
+        self._ranks: List[List[_RankState]] = []
+        #: Per job: one mailbox per rank.
+        self._mailboxes: List[List[MailBox]] = []
+        self._occupied: Set[int] = set()
         #: Optional observer mirroring every executed primitive into a trace
         #: (see repro.traces).  Pure observation: attaching one never changes
         #: the simulation.
@@ -285,14 +297,13 @@ class MpiEngine:
         for node in nodes:
             if not 0 <= node < self.network.num_nodes:
                 raise ValueError(f"node {node} does not exist in this system")
-            key = ("node", node)
-            if key in self._node_to_rank:
+            if node in self._occupied:
                 raise ValueError(f"node {node} is already occupied by another job")
         job = MpiJob(len(self.jobs), name, nodes, application=application, start_time=start_time)
         self.jobs.append(job)
-        for rank, node in enumerate(nodes):
-            self._node_to_rank[("node", node)] = rank
-            self._mailboxes[(job.job_id, rank)] = MailBox()
+        self._occupied.update(nodes)
+        self._ranks.append([])
+        self._mailboxes.append([MailBox() for _ in nodes])
         self.network.stats.register_application(job.record)
         return job
 
@@ -316,11 +327,12 @@ class MpiEngine:
 
     def _start_job(self, job: MpiJob) -> None:
         """Instantiate and advance every rank program of one job, now."""
+        states = self._ranks[job.job_id]
         for rank in range(job.num_ranks):
             context = RankContext(self, job, rank)
             generator = job.application.program(context)
             state = _RankState(job, rank, context, generator)
-            self._ranks[(job.job_id, rank)] = state
+            states.append(state)
             job.record.start_time[rank] = self.sim.now
             self._advance(state, None)
 
@@ -338,12 +350,13 @@ class MpiEngine:
         Ranks of a staggered job do not exist until its arrival event fires,
         so a run cut short before an arrival correctly reads as unfinished.
         """
-        total_ranks = sum(job.num_ranks for job in self.jobs)
         return (
             self._started
-            and total_ranks > 0
-            and len(self._ranks) == total_ranks
-            and all(state.finished for state in self._ranks.values())
+            and sum(job.num_ranks for job in self.jobs) > 0
+            and all(
+                len(states) == job.num_ranks and all(state.finished for state in states)
+                for job, states in zip(self.jobs, self._ranks)
+            )
         )
 
     # -------------------------------------------------------- program driver
@@ -377,22 +390,28 @@ class MpiEngine:
                     self.recorder.record_wait(
                         state.job, state.rank, operation.requests, self.sim.now
                     )
-                incomplete = [r for r in operation.requests if not r.completed]
-                if not incomplete:
+                pending = 0
+                for request in operation.requests:
+                    if request.completed or request.waiter is state:
+                        # Done already, or listed twice in this wait.
+                        continue
+                    if request.waiter is not None:
+                        raise RuntimeError(
+                            f"{request!r} is already waited on by another rank"
+                        )
+                    request.waiter = state
+                    pending += 1
+                if not pending:
                     continue
-                state.pending = len(incomplete)
+                state.pending = pending
                 state.block_start = self.sim.now
-                for request in incomplete:
-                    request.on_complete(lambda _req, s=state: self._request_done(s))
                 return
             raise TypeError(
                 f"rank program yielded {operation!r}; expected a ComputeOp or WaitOp"
             )
 
-    def _request_done(self, state: _RankState) -> None:
-        state.pending -= 1
-        if state.pending > 0:
-            return
+    def _resume(self, state: _RankState) -> None:
+        """Resume a rank whose wait has completed, charging the blocked time."""
         if state.block_start is not None:
             state.job.record.add_comm_time(state.rank, self.sim.now - state.block_start)
             state.block_start = None
@@ -412,13 +431,12 @@ class MpiEngine:
         if self.recorder is not None:
             self.recorder.record_send(job, src_rank, dst_rank, size_bytes, tag, request, now)
         job.record.record_send(src_rank, size_bytes)
-        xid = next(_xid_counter)
-        envelope = Envelope(src_rank, dst_rank, tag, size_bytes, xid)
 
         if dst_rank == src_rank:
             # Loopback: no network involvement, a small software overhead only.
             done = now + self.config.message_overhead_ns
             sim.push(done, request.complete, (now,))
+            envelope = Envelope(src_rank, dst_rank, tag, size_bytes)
             sim.push(done, self._arrive_eager, (job, envelope))
             return request
 
@@ -430,117 +448,108 @@ class MpiEngine:
                 size_bytes,
                 app_id=job.job_id,
                 tag=tag,
-                kind=MessageKind.DATA,
+                kind=_DATA,
                 create_time=now,
-                payload={"type": "eager", "envelope": envelope},
+                payload=Envelope(src_rank, dst_rank, tag, size_bytes),
             )
             self.network.send_message(message)
             # Eager sends complete locally once the NIC has buffered the data.
             sim.push(now + self.config.message_overhead_ns, request.complete, (now,))
         else:
-            self._pending_sends[(job.job_id, xid)] = {
-                "request": request,
-                "envelope": envelope,
-                "src_node": src_node,
-                "dst_node": dst_node,
-            }
             rts = Message(
                 src_node,
                 dst_node,
                 CONTROL_MESSAGE_BYTES,
                 app_id=job.job_id,
                 tag=tag,
-                kind=MessageKind.RTS,
+                kind=_RTS,
                 create_time=now,
-                payload={"type": "rts", "envelope": envelope},
+                payload=Rendezvous(src_rank, dst_rank, tag, size_bytes, request),
             )
             self.network.send_message(rts)
         return request
 
     def irecv(self, job: MpiJob, rank: int, src_rank: int, tag: int) -> RecvRequest:
         """Post a non-blocking receive and match it against early arrivals."""
+        if src_rank != ANY_SOURCE and not 0 <= src_rank < job.num_ranks:
+            raise ValueError(f"source rank {src_rank} outside job {job.name}")
         request = RecvRequest(rank, src_rank, tag)
         if self.recorder is not None:
             self.recorder.record_recv(job, rank, src_rank, tag, request, self.sim.now)
-        mailbox = self._mailboxes[(job.job_id, rank)]
-        matched = mailbox.post(request)
-        if matched is not None:
-            envelope, action = matched
+        envelope = self._mailboxes[job.job_id][rank].post(request)
+        if envelope is not None:
             request.matched_envelope = envelope
-            action(job, request, envelope)
+            if isinstance(envelope, Rendezvous):
+                self._send_cts(job, request, envelope)
+            else:
+                request.complete(self.sim.now)
         return request
 
     # --------------------------------------------------------- network side
     def _on_message_delivered(self, message: Message) -> None:
-        payload = message.payload
-        kind = payload.get("type")
+        """Run the protocol step a delivered message's envelope calls for."""
+        envelope = message.payload
         job = self.jobs[message.app_id]
-        if kind == "eager":
-            self._arrive_eager(job, payload["envelope"])
-        elif kind == "rts":
-            self._arrive_rts(job, payload["envelope"])
-        elif kind == "cts":
-            self._arrive_cts(job, payload["xid"])
-        elif kind == "rdata":
-            self._arrive_rendezvous_data(job, payload["xid"])
+        kind = message.kind
+        if kind is _DATA:
+            if isinstance(envelope, Rendezvous):
+                self._arrive_rendezvous_data(envelope)
+            else:
+                self._arrive_eager(job, envelope)
+        elif kind is _RTS:
+            self._arrive_rts(job, envelope)
+        elif kind is _CTS:
+            self._arrive_cts(job, envelope)
         else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown MPI message type {kind!r}")
+            raise RuntimeError(f"unknown MPI message kind {kind!r}")
 
     def _arrive_eager(self, job: MpiJob, envelope: Envelope) -> None:
-        mailbox = self._mailboxes[(job.job_id, envelope.dst_rank)]
+        mailbox = self._mailboxes[job.job_id][envelope.dst_rank]
         request = mailbox.match_arrival(envelope)
         if request is not None:
             request.matched_envelope = envelope
             request.complete(self.sim.now)
         else:
-            mailbox.store_unexpected(envelope, self._complete_eager_recv)
+            mailbox.store_unexpected(envelope)
 
-    def _complete_eager_recv(self, job: MpiJob, request: RecvRequest, envelope: Envelope) -> None:
-        request.complete(self.sim.now)
-
-    def _arrive_rts(self, job: MpiJob, envelope: Envelope) -> None:
-        mailbox = self._mailboxes[(job.job_id, envelope.dst_rank)]
-        request = mailbox.match_arrival(envelope)
+    def _arrive_rts(self, job: MpiJob, rendezvous: Rendezvous) -> None:
+        mailbox = self._mailboxes[job.job_id][rendezvous.dst_rank]
+        request = mailbox.match_arrival(rendezvous)
         if request is not None:
-            request.matched_envelope = envelope
-            self._send_cts(job, request, envelope)
+            request.matched_envelope = rendezvous
+            self._send_cts(job, request, rendezvous)
         else:
-            mailbox.store_unexpected(envelope, self._send_cts)
+            mailbox.store_unexpected(rendezvous)
 
-    def _send_cts(self, job: MpiJob, request: RecvRequest, envelope: Envelope) -> None:
-        self._pending_recv_xid[(job.job_id, envelope.xid)] = request
+    def _send_cts(self, job: MpiJob, request: RecvRequest, rendezvous: Rendezvous) -> None:
+        rendezvous.recv_request = request
         cts = Message(
-            job.node_of(envelope.dst_rank),
-            job.node_of(envelope.src_rank),
+            job.node_of(rendezvous.dst_rank),
+            job.node_of(rendezvous.src_rank),
             CONTROL_MESSAGE_BYTES,
             app_id=job.job_id,
-            tag=envelope.tag,
-            kind=MessageKind.CTS,
+            tag=rendezvous.tag,
+            kind=_CTS,
             create_time=self.sim.now,
-            payload={"type": "cts", "xid": envelope.xid},
+            payload=rendezvous,
         )
         self.network.send_message(cts)
 
-    def _arrive_cts(self, job: MpiJob, xid: int) -> None:
-        pending = self._pending_sends.pop((job.job_id, xid), None)
-        if pending is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"CTS for unknown exchange {xid}")
-        envelope: Envelope = pending["envelope"]
+    def _arrive_cts(self, job: MpiJob, rendezvous: Rendezvous) -> None:
         data = Message(
-            pending["src_node"],
-            pending["dst_node"],
-            envelope.size_bytes,
+            job.node_of(rendezvous.src_rank),
+            job.node_of(rendezvous.dst_rank),
+            rendezvous.size_bytes,
             app_id=job.job_id,
-            tag=envelope.tag,
-            kind=MessageKind.DATA,
+            tag=rendezvous.tag,
+            kind=_DATA,
             create_time=self.sim.now,
-            payload={"type": "rdata", "xid": envelope.xid},
+            payload=rendezvous,
         )
-        request: SendRequest = pending["request"]
-        self.network.send_message(data, on_delivery=lambda _msg: request.complete(self.sim.now))
+        self.network.send_message(data)
 
-    def _arrive_rendezvous_data(self, job: MpiJob, xid: int) -> None:
-        request = self._pending_recv_xid.pop((job.job_id, xid), None)
-        if request is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"rendezvous data for unknown exchange {xid}")
-        request.complete(self.sim.now)
+    def _arrive_rendezvous_data(self, rendezvous: Rendezvous) -> None:
+        """The data has arrived: complete the sender's request, then the receiver's."""
+        now = self.sim.now
+        rendezvous.send_request.complete(now)
+        rendezvous.recv_request.complete(now)

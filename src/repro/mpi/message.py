@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, List, Optional
 
 __all__ = [
@@ -12,6 +11,7 @@ __all__ = [
     "MailBox",
     "MpiRequest",
     "RecvRequest",
+    "Rendezvous",
     "SendRequest",
 ]
 
@@ -20,21 +20,21 @@ ANY_SOURCE = -1
 #: Wildcard tag for receives.
 ANY_TAG = -1
 
-_request_ids = itertools.count()
-
 
 class Envelope:
-    """Matching envelope of a point-to-point message."""
+    """Matching envelope of a point-to-point message.
 
-    __slots__ = ("src_rank", "dst_rank", "tag", "size_bytes", "xid")
+    An eager message carries a plain envelope; a rendezvous carries a
+    :class:`Rendezvous`.
+    """
 
-    def __init__(self, src_rank: int, dst_rank: int, tag: int, size_bytes: int, xid: int):
+    __slots__ = ("src_rank", "dst_rank", "tag", "size_bytes")
+
+    def __init__(self, src_rank: int, dst_rank: int, tag: int, size_bytes: int):
         self.src_rank = src_rank
         self.dst_rank = dst_rank
         self.tag = tag
         self.size_bytes = size_bytes
-        #: Unique exchange id tying RTS/CTS/DATA of one rendezvous together.
-        self.xid = xid
 
     def matches(self, src_rank: int, tag: int) -> bool:
         """Whether this envelope satisfies a receive posted for (src, tag)."""
@@ -44,42 +44,53 @@ class Envelope:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Envelope(src={self.src_rank}, dst={self.dst_rank}, tag={self.tag}, "
-            f"size={self.size_bytes}, xid={self.xid})"
+            f"{type(self).__name__}(src={self.src_rank}, dst={self.dst_rank}, "
+            f"tag={self.tag}, size={self.size_bytes})"
         )
+
+
+class Rendezvous(Envelope):
+    """Envelope of one rendezvous exchange, carried by its RTS, CTS and data.
+
+    It holds the two requests the exchange completes, so neither side keeps
+    a table of exchanges in flight.
+    """
+
+    __slots__ = ("send_request", "recv_request")
+
+    def __init__(
+        self, src_rank: int, dst_rank: int, tag: int, size_bytes: int, send_request: "SendRequest"
+    ):
+        super().__init__(src_rank, dst_rank, tag, size_bytes)
+        self.send_request = send_request
+        #: The matched receive, set when the CTS is sent.
+        self.recv_request: Optional["RecvRequest"] = None
 
 
 class MpiRequest:
     """Handle to an in-flight non-blocking operation."""
 
-    __slots__ = ("req_id", "rank", "completed", "completion_time", "_callbacks")
+    __slots__ = ("rank", "completed", "completion_time", "waiter")
 
     def __init__(self, rank: int):
-        self.req_id = next(_request_ids)
         self.rank = rank
         self.completed = False
         self.completion_time: Optional[float] = None
-        self._callbacks: List[Callable[["MpiRequest"], None]] = []
-
-    def on_complete(self, callback: Callable[["MpiRequest"], None]) -> None:
-        """Register ``callback``; fired immediately if already complete."""
-        if self.completed:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
+        #: Called with the request when it completes: the one rank program
+        #: blocked on it, set by the engine's wait.
+        self.waiter: Optional[Callable[["MpiRequest"], None]] = None
 
     def complete(self, time: float) -> None:
-        """Mark the request complete and fire callbacks (idempotent)."""
+        """Mark the request complete and notify its waiter (idempotent)."""
         if self.completed:
             return
         self.completed = True
         self.completion_time = time
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        if self.waiter is not None:
+            self.waiter(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(id={self.req_id}, rank={self.rank}, done={self.completed})"
+        return f"{type(self).__name__}(rank={self.rank}, done={self.completed})"
 
 
 class SendRequest(MpiRequest):
@@ -110,22 +121,22 @@ class MailBox:
     """Per-rank matching state: posted receives and unexpected arrivals.
 
     ``unexpected`` holds envelopes of messages (eager data or rendezvous RTS)
-    that arrived before a matching receive was posted, along with the
-    protocol action to run once they are matched.
+    that arrived before a matching receive was posted; the envelope's type
+    says which protocol step runs once it is matched.
     """
 
     __slots__ = ("posted", "unexpected")
 
     def __init__(self) -> None:
         self.posted: List[RecvRequest] = []
-        self.unexpected: List[tuple] = []  # (Envelope, action callable)
+        self.unexpected: List[Envelope] = []
 
-    def post(self, request: RecvRequest) -> Optional[tuple]:
-        """Post a receive; returns an unexpected (envelope, action) if it matches."""
-        for index, (envelope, action) in enumerate(self.unexpected):
+    def post(self, request: RecvRequest) -> Optional[Envelope]:
+        """Post a receive; returns the first unexpected envelope it matches."""
+        for index, envelope in enumerate(self.unexpected):
             if envelope.matches(request.src_rank, request.tag):
                 del self.unexpected[index]
-                return envelope, action
+                return envelope
         self.posted.append(request)
         return None
 
@@ -137,9 +148,9 @@ class MailBox:
                 return request
         return None
 
-    def store_unexpected(self, envelope: Envelope, action: Callable) -> None:
+    def store_unexpected(self, envelope: Envelope) -> None:
         """Queue an arrival that found no posted receive."""
-        self.unexpected.append((envelope, action))
+        self.unexpected.append(envelope)
 
     @property
     def pending(self) -> int:

@@ -11,7 +11,7 @@ through two calls:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
@@ -82,10 +82,8 @@ class DragonflyNetwork:
         for nic in self.nics:
             nic.on_message_delivered = self._message_delivered
 
-        #: Global delivery callback (set by the MPI engine).
+        #: Delivery callback (set by the MPI engine).
         self.on_message_delivered: Optional[Callable[[Message], None]] = None
-        #: Per-message delivery callbacks registered through send_message().
-        self._message_callbacks: Dict[int, Callable[[Message], None]] = {}
 
         self._wire()
 
@@ -148,27 +146,17 @@ class DragonflyNetwork:
                 raise RuntimeError(f"NIC {nic.node_id} is not fully wired")
 
     # ------------------------------------------------------------ messaging
-    def send_message(
-        self,
-        message: Message,
-        on_delivery: Optional[Callable[[Message], None]] = None,
-    ) -> Message:
+    def send_message(self, message: Message) -> Message:
         """Inject ``message`` at its source node.
 
-        ``on_delivery`` (if given) is called with the message once every
-        packet has reached the destination node, in addition to the global
-        :attr:`on_message_delivered` callback.
+        :attr:`on_message_delivered` is called with it once every packet has
+        reached the destination node.
         """
-        if on_delivery is not None:
-            self._message_callbacks[message.msg_id] = on_delivery
         self.nics[message.src_node].send_message(message)
         self.stats.record_message_injected(message)
         return message
 
     def _message_delivered(self, message: Message) -> None:
-        callback = self._message_callbacks.pop(message.msg_id, None)
-        if callback is not None:
-            callback(message)
         if self.on_message_delivered is not None:
             self.on_message_delivered(message)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import List, Optional
+from typing import Any, List, Optional
 
 __all__ = ["Message", "MessageKind", "Packet", "PathClass"]
 
@@ -72,7 +72,7 @@ class Message:
         tag: int = 0,
         kind: MessageKind = MessageKind.DATA,
         create_time: float = 0.0,
-        payload: Optional[dict] = None,
+        payload: Any = None,
     ):
         if size_bytes <= 0:
             raise ValueError(f"message size must be positive, got {size_bytes}")
@@ -91,8 +91,9 @@ class Message:
         self.inject_start_time: Optional[float] = None
         self.inject_end_time: Optional[float] = None
         self.deliver_time: Optional[float] = None
-        #: Opaque MPI-layer payload (protocol bookkeeping), never serialized.
-        self.payload = payload or {}
+        #: The MPI layer's protocol value (its envelope), opaque to the
+        #: network and never serialized.
+        self.payload = payload
 
     @property
     def complete(self) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 __all__ = ["ApplicationRecord", "IterationRecord"]
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Timestamps of one iteration of one rank."""
 

@@ -193,10 +193,8 @@ def test_single_flow_transfers_at_full_link_bandwidth():
     capacity = network.config.system.link_bandwidth_bytes_per_ns
     size = 10_000
     delivered = []
-    network.send_message(
-        Message(src_node=0, dst_node=1, size_bytes=size),
-        on_delivery=lambda m: delivered.append(sim.now),
-    )
+    network.on_message_delivered = lambda m: delivered.append(sim.now)
+    network.send_message(Message(src_node=0, dst_node=1, size_bytes=size))
     sim.run()
     assert len(delivered) == 1
     # Same router: inj -> ej, no inter-router hop.  Transfer time at full
@@ -211,13 +209,11 @@ def test_shared_bottleneck_splits_bandwidth_max_min_fairly():
     capacity = network.config.system.link_bandwidth_bytes_per_ns
     size = 10_000
     done = {}
+    network.on_message_delivered = lambda m: done.setdefault(m.msg_id, sim.now)
     # Two different sources, one destination: the ejection link at node 2 is
     # the single shared bottleneck, so each flow gets capacity/2.
     for src in (0, 1):
-        network.send_message(
-            Message(src_node=src, dst_node=2, size_bytes=size),
-            on_delivery=lambda m: done.setdefault(m.msg_id, sim.now),
-        )
+        network.send_message(Message(src_node=src, dst_node=2, size_bytes=size))
     sim.run()
     assert len(done) == 2
     # Nodes 0 and 2 sit on different routers of one group (tiny system has 2
@@ -236,12 +232,10 @@ def test_late_arrival_rerates_the_running_flow():
     size = 10_000
     half_transfer = 0.5 * size / capacity
     done = {}
+    network.on_message_delivered = lambda m: done.setdefault(m.msg_id, sim.now)
 
     def start(src):
-        network.send_message(
-            Message(src_node=src, dst_node=2, size_bytes=size),
-            on_delivery=lambda m: done.setdefault(m.msg_id, sim.now),
-        )
+        network.send_message(Message(src_node=src, dst_node=2, size_bytes=size))
 
     start(0)
     # The second flow arrives once the first has moved half its bytes; the
@@ -279,7 +273,7 @@ def _reference_rates(flows):
             if unfrozen[key] > 0 and residual[key] / unfrozen[key] <= threshold
         ]
         for key in bottlenecks:
-            for flow in links[key].flows.values():
+            for flow in links[key].flows:
                 if flow.message.msg_id in rates:
                     continue
                 rates[flow.message.msg_id] = share
@@ -296,9 +290,9 @@ def _component_flows(seeds):
     reached = {id(link) for link in links}
     flows = {}
     for link in links:  # a worklist: grows while it is walked
-        for msg_id, flow in link.flows.items():
-            if msg_id not in flows:
-                flows[msg_id] = flow
+        for flow in link.flows:
+            if flow.message.msg_id not in flows:
+                flows[flow.message.msg_id] = flow
                 for crossed in flow.links:
                     if id(crossed) not in reached:
                         reached.add(id(crossed))
@@ -331,9 +325,9 @@ class _CheckedFlowNetwork(FlowNetwork):
             # Max-min: some link of the flow is saturated, and no flow
             # crossing it gets more than this one.
             assert any(
-                sum(other.rate for other in link.flows.values())
+                sum(other.rate for other in link.flows)
                 >= link.capacity * (1 - 1e-9)
-                and max(other.rate for other in link.flows.values())
+                and max(other.rate for other in link.flows)
                 <= flow.rate * (1 + 1e-9)
                 for link in flow.links
             ), flow.message
@@ -370,13 +364,12 @@ def test_property_recomputed_rates_are_max_min_fair(routing, seed, data):
         )
     )
     delivered = []
+    network.on_message_delivered = delivered.append
     for src, offset, size, start in flows:
         message = Message(src_node=src, dst_node=(src + offset) % nodes, size_bytes=size)
         # Starts on a coarse grid, so several flows often start at one
         # timestamp and batch into one recomputation.
-        sim.schedule(
-            start * 250.0, network.send_message, message, delivered.append
-        )
+        sim.schedule(start * 250.0, network.send_message, message)
     sim.run()
     assert len(delivered) == len(flows)
     assert network.quiescent() and network.recomputations > 0

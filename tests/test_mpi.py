@@ -6,14 +6,18 @@ from repro.config import SimulationConfig, tiny_system
 from repro.core.engine import Simulator
 from repro.mpi.collectives import tree_children, tree_parent
 from repro.mpi.engine import MpiEngine
-from repro.mpi.message import ANY_SOURCE, ANY_TAG, Envelope, MailBox, RecvRequest
+from repro.flow.network import FlowNetwork
+from repro.mpi.message import ANY_SOURCE, ANY_TAG, Envelope, MailBox, RecvRequest, Rendezvous
 from repro.network.network import DragonflyNetwork
+from repro.network.packet import MessageKind
 
 
-def _engine(seed=1, eager_threshold=4096):
+def _engine(seed=1, eager_threshold=4096, fidelity="packet"):
     config = SimulationConfig(system=tiny_system(), seed=seed, eager_threshold_bytes=eager_threshold)
     sim = Simulator()
-    network = DragonflyNetwork(sim, config.with_routing("par"))
+    config = config.with_routing("par").with_fidelity(fidelity)
+    network_cls = FlowNetwork if fidelity == "flow" else DragonflyNetwork
+    network = network_cls(sim, config)
     return sim, network, MpiEngine(network)
 
 
@@ -35,7 +39,7 @@ def _run(engine):
 
 # ------------------------------------------------------------- matching
 def test_envelope_matching_with_wildcards():
-    envelope = Envelope(src_rank=3, dst_rank=0, tag=7, size_bytes=100, xid=1)
+    envelope = Envelope(src_rank=3, dst_rank=0, tag=7, size_bytes=100)
     assert envelope.matches(3, 7)
     assert envelope.matches(ANY_SOURCE, 7)
     assert envelope.matches(3, ANY_TAG)
@@ -49,7 +53,7 @@ def test_mailbox_matches_posted_receives_in_fifo_order():
     second = RecvRequest(0, ANY_SOURCE, ANY_TAG)
     assert mailbox.post(first) is None
     assert mailbox.post(second) is None
-    envelope = Envelope(1, 0, 5, 64, 2)
+    envelope = Envelope(1, 0, 5, 64)
     assert mailbox.match_arrival(envelope) is first
     assert mailbox.match_arrival(envelope) is second
     assert mailbox.match_arrival(envelope) is None
@@ -57,11 +61,11 @@ def test_mailbox_matches_posted_receives_in_fifo_order():
 
 def test_mailbox_unexpected_queue_round_trip():
     mailbox = MailBox()
-    envelope = Envelope(1, 0, 5, 64, 2)
-    mailbox.store_unexpected(envelope, action="act")
+    envelope = Envelope(1, 0, 5, 64)
+    mailbox.store_unexpected(envelope)
     request = RecvRequest(0, 1, 5)
     matched = mailbox.post(request)
-    assert matched == (envelope, "act")
+    assert matched is envelope
     assert mailbox.pending == 0
 
 
@@ -185,6 +189,119 @@ def test_comm_and_compute_time_accounting():
     assert job.record.total_bytes_sent == 32 * 1024
 
 
+@pytest.mark.parametrize("fidelity", ["packet", "flow"])
+def test_rendezvous_completes_sender_then_receiver_at_data_delivery(fidelity):
+    sim, network, engine = _engine(fidelity=fidelity)
+    delivered = []
+    engine_callback = network.on_message_delivered
+
+    def observe(message):
+        delivered.append((message.kind, message.payload, sim.now))
+        engine_callback(message)
+
+    network.on_message_delivered = observe
+    requests = {}
+    resumed = []
+
+    def sender(ctx):
+        requests["send"] = ctx.isend(1, 64 * 1024, tag=4)
+        yield ctx.wait(requests["send"])
+        resumed.append(("send", ctx.now))
+
+    def receiver(ctx):
+        requests["recv"] = ctx.irecv(0, tag=4)
+        yield ctx.wait(requests["recv"])
+        resumed.append(("recv", ctx.now))
+
+    engine.add_job("pair", [0, 5], application=_Program({0: sender, 1: receiver}))
+    _run(engine)
+    assert [kind for kind, _, _ in delivered] == [
+        MessageKind.RTS,
+        MessageKind.CTS,
+        MessageKind.DATA,
+    ]
+    # One rendezvous envelope rides on all three messages.
+    rendezvous = delivered[0][1]
+    assert isinstance(rendezvous, Rendezvous)
+    assert all(payload is rendezvous for _, payload, _ in delivered)
+    assert rendezvous.recv_request is requests["recv"]
+    data_time = delivered[-1][2]
+    assert requests["send"].completion_time == data_time
+    assert requests["recv"].completion_time == data_time
+    # Each completion resumes its rank at once: the sender's comes first.
+    assert resumed == [("send", data_time), ("recv", data_time)]
+
+
+# ------------------------------------------------------------------ waits
+def test_waitall_listing_a_request_twice_resumes_the_rank_once():
+    sim, network, engine = _engine()
+    resumed = []
+
+    def receiver(ctx):
+        request = ctx.irecv(1, tag=0)
+        yield ctx.waitall([request, request])
+        resumed.append(ctx.now)
+        yield ctx.recv(1, tag=1)
+        resumed.append(ctx.now)
+
+    def sender(ctx):
+        yield ctx.send(0, 256, tag=0)
+        yield ctx.compute(50_000)
+        yield ctx.send(0, 256, tag=1)
+
+    job = engine.add_job("pair", [0, 5], application=_Program({0: receiver, 1: sender}))
+    _run(engine)
+    # A second resume would run the program past its second wait at once.
+    first, second = resumed
+    assert 0 < first < 50_000 < second
+    # Both waits started when the previous one ended: blocked the whole time.
+    assert job.record.comm_time[0] == pytest.approx(second)
+
+
+def test_wait_over_completed_and_pending_requests_resumes_at_the_last_completion():
+    sim, network, engine = _engine()
+    outcome = {}
+
+    def waiter(ctx):
+        done = ctx.isend(1, 256, tag=0)
+        early = ctx.irecv(1, tag=1)
+        late = ctx.irecv(1, tag=2)
+        yield ctx.compute(10_000)
+        outcome["done_before_wait"] = done.completed
+        outcome["early_before_wait"] = early.completed
+        yield ctx.waitall([done, late, early])
+        outcome.update(resumed=ctx.now, early=early.completion_time, late=late.completion_time)
+
+    def peer(ctx):
+        yield ctx.recv(0, tag=0)
+        yield ctx.compute(20_000)
+        yield ctx.send(0, 256, tag=1)
+        yield ctx.compute(20_000)
+        yield ctx.send(0, 256, tag=2)
+
+    job = engine.add_job("pair", [0, 5], application=_Program({0: waiter, 1: peer}))
+    _run(engine)
+    assert outcome["done_before_wait"] and not outcome["early_before_wait"]
+    assert 10_000 < outcome["early"] < outcome["late"] == outcome["resumed"]
+    assert job.record.comm_time[0] == pytest.approx(outcome["late"] - 10_000)
+
+
+def test_waiting_on_another_ranks_pending_request_is_refused():
+    sim, network, engine = _engine()
+    shared = {}
+
+    def owner(ctx):
+        shared["request"] = ctx.isend(1, 64 * 1024, tag=0)
+        yield ctx.wait(shared["request"])
+
+    def intruder(ctx):
+        yield ctx.wait(shared["request"])
+
+    engine.add_job("pair", [0, 5], application=_Program({0: owner, 1: intruder}))
+    with pytest.raises(RuntimeError, match="already waited on by another rank"):
+        engine.run()
+
+
 # ------------------------------------------------------------ collectives
 def test_binary_tree_structure_helpers():
     assert tree_parent(0) is None
@@ -254,3 +371,14 @@ def test_add_job_rejects_overlapping_or_invalid_nodes():
         engine.add_job("c", [network.num_nodes], application=None)
     with pytest.raises(ValueError):
         engine.add_job("d", [5, 5], application=None)
+
+
+def test_irecv_rejects_a_source_rank_outside_the_job():
+    sim, network, engine = _engine()
+    job = engine.add_job("j", [0, 1], application=None)
+    for src_rank in (7, 2, -2):
+        with pytest.raises(ValueError, match=f"source rank {src_rank} outside job j"):
+            engine.irecv(job, 0, src_rank, 0)
+    with pytest.raises(ValueError, match="destination rank 7 outside job j"):
+        engine.isend(job, 0, 7, 64, 0)
+    assert engine.irecv(job, 0, ANY_SOURCE, 0).src_rank == ANY_SOURCE

@@ -18,13 +18,14 @@ def _run_traffic(routing, num_messages=120, size=2048, seed=0, system=None):
     network = DragonflyNetwork(sim, config)
     rng = np.random.default_rng(seed)
     delivered = []
+    network.on_message_delivered = delivered.append
     sent = 0
     for _ in range(num_messages):
         src, dst = rng.integers(network.num_nodes, size=2)
         if src == dst:
             continue
         message = Message(int(src), int(dst), size, app_id=0, create_time=sim.now)
-        network.send_message(message, on_delivery=delivered.append)
+        network.send_message(message)
         sent += 1
     sim.run()
     return network, delivered, sent
