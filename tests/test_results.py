@@ -2,6 +2,7 @@
 
 import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -580,3 +581,125 @@ def test_cli_report_output_file(tmp_path, capsys):
     target = tmp_path / "t1.md"
     assert main(["report", "table1", "--store", str(path), "--format", "markdown", "-o", str(target)]) == 0
     assert target.read_text().startswith("### Table I")
+
+
+# --------------------------------------------------- every report kind, pinned
+#: Rendered text of every report kind in every format, one ``==> <name>
+#: [<format>]`` section each (regenerate by rendering _every_report_store()).
+REPORTS_GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.txt"
+
+
+def _golden_reports() -> dict:
+    sections: dict = {}
+    lines: list = []
+    for line in REPORTS_GOLDEN.read_text().splitlines():
+        if line.startswith("==> "):
+            lines = sections.setdefault(line[len("==> "):], [])
+        else:
+            lines.append(line)
+    return {key: "\n".join(body) for key, body in sections.items()}
+
+
+def _intensity(app, base):
+    """The four Table I metrics of ``app``, multiples of ``base``."""
+    return {
+        f"total_msg_bytes/{app}": 1000 * base,
+        f"execution_time_ns/{app}": 250.0 * base,
+        f"injection_rate_gbps/{app}": 0.125 * base,
+        f"peak_ingress_bytes/{app}": 64 * base,
+    }
+
+
+def _comm(app, mean, std):
+    return {f"comm_time_ns/{app}": mean, f"comm_time_std_ns/{app}": std}
+
+
+@pytest.fixture(scope="module")
+def every_report_store():
+    """One store holding every report family, from hand-written metric rows."""
+    from repro.experiments.scenario import loadcurve_scenario, ml_scenario, synthetic_scenario
+    from repro.traces import RecvRecord, SendRecord, Trace, WaitRecord, replay_scenario
+
+    store = ResultStore()
+    tiny = SimulationConfig(system=tiny_system())
+    for base, app in enumerate(("UR", "FFT3D"), start=1):
+        store.record(table1_scenario(app), _intensity(app, base))
+    # A two-job mix and its solo baselines (Halo3D has no Table II row).
+    mix = (AppSpec("FFT3D", 4), AppSpec("Halo3D", 8))
+    store.record(
+        Scenario(name="mixed/table2", jobs=mix, config=tiny),
+        {**_comm("FFT3D", 3000.0, 300.0), **_comm("Halo3D", 1500.0, 30.0)},
+    )
+    for spec, comm in zip(mix, (1000.0, 1200.0)):
+        store.record(
+            Scenario(name=f"mixed/solo/{spec.name}", jobs=(spec,), config=tiny),
+            _comm(spec.name, comm, comm / 20),
+        )
+    for index, routing in enumerate(("par", "minimal")):
+        config = tiny.with_routing(routing)
+        for background, comm in ((None, 800.0), ("UR", 1000.0), ("hotspot", 1900.0)):
+            pair = pairwise_scenario(
+                "FFT3D", background, target_ranks=4, background_ranks=4, config=config
+            )
+            store.record(pair, _comm("FFT3D", comm + 100.0 * index, 40.0 + index))
+    store.record(synthetic_scenario("hotspot", num_ranks=6, config=tiny), _intensity("hotspot", 3))
+    store.record(
+        ml_scenario("ring_allreduce", num_ranks=4, config=tiny),
+        _intensity("ml.ring_allreduce", 4),
+    )
+    exchange = tuple(
+        (
+            SendRecord(dst_rank=peer, size_bytes=64, tag=7, t_ns=0.0),
+            RecvRecord(src_rank=peer, tag=7, t_ns=0.0),
+            WaitRecord(requests=(0, 1), t_ns=10.0),
+        )
+        for peer in (1, 0)
+    )
+    trace = Trace(
+        app="FFT3D", num_ranks=2, rank_ops=exchange,
+        peak_ingress_bytes=64, message_volume_per_rank=64,
+    )
+    store.record(replay_scenario(trace.to_payload()), _intensity("trace", 5))
+    # Two window configs whose text and numeric orders agree.
+    for measurement in (5_000.0, 8_000.0):
+        for load in (0.2, 0.6):
+            curve = loadcurve_scenario(
+                "shift", offered_load=load, num_ranks=4, warmup_ns=1_000.0,
+                measurement_ns=measurement, config=tiny,
+            )
+            latency = 100.0 / (1.0 - load) + measurement / 100
+            store.record(
+                curve,
+                {
+                    "accepted_throughput_gbps": 12.5 * load,
+                    "measured_packet_latency_mean_ns": latency,
+                    "measured_packet_latency_p50_ns": 0.9 * latency,
+                    "measured_packet_latency_p99_ns": 3.0 * latency,
+                },
+            )
+    yield store
+    store.close()
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "markdown"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "table1", "table2", "mixed/table2", "mixed", "pairwise/FFT3D+UR",
+        "pairwise/FFT3D", "synthetic/FFT3D", "synthetic/hotspot",
+        "ml/ring_allreduce", "trace/FFT3D", "loadcurve/shift",
+    ],
+)
+def test_every_report_kind_renders_pinned_text(every_report_store, name, fmt):
+    assert build_report(every_report_store, name, fmt=fmt) == _golden_reports()[f"{name} [{fmt}]"]
+
+
+def test_unknown_report_lists_every_report_name(every_report_store):
+    names = [
+        "table1", "table2", "mixed", "pairwise/<Target>+<Background>",
+        "synthetic/<Target>", "synthetic/<pattern>", "loadcurve/<pattern>",
+        "ml/<pattern>", "trace/<name>",
+    ]
+    with pytest.raises(ValueError) as excinfo:
+        build_report(every_report_store, "table9")
+    assert str(excinfo.value) == f"unknown report 'table9'; choose from {names}"
