@@ -8,7 +8,7 @@ findings: high-injection-rate backgrounds interfere most, and Q-adaptive
 keeps the target's communication time at or below adaptive routing's.
 
 The comparison rows come **from the result store**
-(`repro.analysis.pairwise.comparison_rows`): missing scenarios are simulated
+(`repro.analysis.comparison_rows`): missing scenarios are simulated
 once and recorded, so a warm store regenerates the figure rows without
 running a single simulation.
 """
@@ -23,8 +23,7 @@ from conftest import (
     routings_under_test,
 )
 
-from repro.analysis.pairwise import comparison_rows
-from repro.analysis.reports import format_table
+from repro.analysis import comparison_rows, format_table
 
 TARGETS = ["FFT3D", "LQCD"] if not FULL_SWEEP else ["FFT3D", "LU", "LQCD", "CosmoFlow", "Stencil5D", "LULESH"]
 BACKGROUNDS = [None, "UR", "Halo3D"] if not FULL_SWEEP else [None, "UR", "LU", "FFT3D", "CosmoFlow", "DL", "Halo3D"]

@@ -6,7 +6,7 @@ largest-peak-ingress applications (Stencil5D, LQCD) resist interference, and
 Q-adaptive reduces the average interference relative to adaptive routing.
 
 The rows come **from the result store**
-(`repro.analysis.mixed.mixed_rows_from_store`): the mixed run and its
+(`repro.analysis.mixed_rows_from_store`): the mixed run and its
 ``mixed/solo/<App>`` baselines are simulated only when the store lacks them,
 then shared with the Figs 11-13 drivers through the session run cache.
 """
@@ -21,8 +21,7 @@ from conftest import (
     routings_under_test,
 )
 
-from repro.analysis.mixed import mixed_rows_from_store
-from repro.analysis.reports import format_table
+from repro.analysis import format_table, mixed_rows_from_store
 
 
 def _rows():

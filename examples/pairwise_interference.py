@@ -21,8 +21,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.analysis.pairwise import comparison_rows
-from repro.analysis.reports import build_report
+from repro.analysis import build_report, comparison_rows
 from repro.experiments.configs import ROUTINGS
 from repro.experiments.scenario import expand_grid, get_scenario
 from repro.experiments.sweep import run_sweep

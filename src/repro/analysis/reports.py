@@ -5,50 +5,57 @@ Two kinds of entry point live here:
 * **renderers** — :func:`format_table` (aligned plain text),
   :func:`format_csv`, :func:`format_markdown` and the :func:`render_rows`
   dispatcher turn a list of dict rows into a string;
-* **store-backed report builders** — :func:`table1_rows`,
-  :func:`table2_rows` and (via :mod:`repro.analysis.pairwise` /
-  :mod:`repro.analysis.mixed`) the pairwise/mixed comparison rows read a
-  populated :class:`~repro.results.ResultStore` and rebuild the paper's
-  tables **without launching a single simulation**.  :func:`build_report`
-  dispatches on a report name and backs the ``dragonfly-sim report``
-  subcommand (see docs/results.md).
+* **store-backed row builders** — :func:`table1_rows`, :func:`table2_rows`,
+  :func:`comparison_rows` (Fig. 4), :func:`mixed_rows_from_store` (Fig. 10),
+  :func:`synthetic_rows` and :func:`loadcurve_rows` read a populated
+  :class:`~repro.results.ResultStore` and rebuild the paper's tables
+  **without launching a single simulation**.  Each takes the store, its
+  positional argument and the filters of :meth:`ResultStore.runs`.
+  :func:`build_report` looks a report name up in one table of report kinds
+  and backs the ``dragonfly-sim report`` subcommand (see docs/results.md).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.results import ResultStore
+from repro.metrics.interference import InterferenceSummary
+from repro.results import ResultStore, StoredResult, ensure_comparable, ensure_uniform, mean_metric
+from repro.workloads import (
+    APPLICATIONS,
+    ML_COLLECTIVES,
+    SYNTHETIC_PATTERNS,
+    resolve_application,
+)
 
 __all__ = [
     "OUTPUT_FORMATS",
     "build_report",
+    "comparison_rows",
     "format_csv",
     "format_markdown",
     "format_table",
     "loadcurve_rows",
-    "ml_rows",
+    "mixed_rows_from_store",
     "render_rows",
     "report_names",
     "synthetic_rows",
-    "synthetic_standalone_rows",
     "table1_rows",
     "table2_rows",
-    "trace_rows",
 ]
 
-#: Column schemas of the store-backed reports.
-TABLE1_COLUMNS = [
-    "pattern",
-    "app",
+#: The Table I communication-intensity metrics, in column order.
+_INTENSITY_METRICS = [
     "total_msg_bytes",
     "execution_time_ns",
     "injection_rate_gbps",
     "peak_ingress_bytes",
 ]
+
+#: Column schemas of the store-backed reports.
+TABLE1_COLUMNS = ["pattern", "app", *_INTENSITY_METRICS]
 TABLE2_COLUMNS = [
     "app",
     "paper_nodes",
@@ -57,23 +64,9 @@ TABLE2_COLUMNS = [
     "bench_fraction",
     "comm_time_ns",
 ]
-PAIRWISE_COLUMNS = [
-    "routing",
-    "target",
-    "background",
-    "standalone_comm_ns",
-    "interfered_comm_ns",
-    "slowdown",
-    "variation",
-]
-MIXED_COLUMNS = [
-    "routing",
-    "app",
-    "standalone_comm_ns",
-    "interfered_comm_ns",
-    "slowdown",
-    "variation",
-]
+_INTERFERENCE_COLUMNS = ["standalone_comm_ns", "interfered_comm_ns", "slowdown", "variation"]
+PAIRWISE_COLUMNS = ["routing", "target", "background", *_INTERFERENCE_COLUMNS]
+MIXED_COLUMNS = ["routing", "app", *_INTERFERENCE_COLUMNS]
 LOADCURVE_COLUMNS = [
     "routing",
     "pattern",
@@ -85,6 +78,10 @@ LOADCURVE_COLUMNS = [
     "latency_p50_ns",
     "latency_p99_ns",
 ]
+
+#: Scenario names the Table II and Fig. 10 rows are looked up under.
+MIXED_SCENARIO_NAME = "mixed/table2"
+MIXED_SOLO_PREFIX = "mixed/solo/"
 
 
 # ------------------------------------------------------------------ renderers
@@ -160,17 +157,92 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
-# ------------------------------------------------- store-backed report builders
-def table1_rows(
-    store: "ResultStore",
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
+# ------------------------------------------------------- shared row pieces
+def _family(
+    store: ResultStore,
+    name: str,
+    routings: Optional[Sequence[str]] = None,
+    populate: str = "",
+    label: Optional[str] = None,
+    **filters: Any,
+) -> Dict[str, List[StoredResult]]:
+    """Stored runs of scenario family ``name``, grouped by routing.
+
+    With ``routings=None`` the groups are the routings present, sorted, and
+    a family with no matching run raises ``ValueError`` telling the user to
+    populate the store with ``populate`` (``label`` is how the message
+    spells ``name``).  With explicit ``routings`` the groups are exactly
+    those routings, possibly empty, so the caller can name the missing one.
+    """
+    groups: Dict[str, List[StoredResult]] = {}
+    for run in store.runs_named(name, **filters):
+        groups.setdefault(run.routing, []).append(run)
+    if routings is not None:
+        return {routing: groups.get(routing, []) for routing in routings}
+    if not groups:
+        raise ValueError(
+            f"no stored {label or name} runs; populate the store with {populate}"
+        )
+    return dict(sorted(groups.items()))
+
+
+def _intensity_row(
+    runs: Sequence[StoredResult], what: str, pattern: str, app: str, job: Optional[str] = None
+) -> dict:
+    """Table I columns of one configuration's ``runs``, averaged over seeds.
+
+    ``job`` is the job name the runs record the metrics under, when it is
+    not ``app`` (a trace replay's job is always ``"trace"``).
+    """
+    ensure_uniform(runs, what)
+    return {
+        "pattern": pattern,
+        "app": app,
+        **{metric: mean_metric(runs, metric, job or app) for metric in _INTENSITY_METRICS},
+    }
+
+
+def _standalone_rows(
+    store: ResultStore, name: str, populate: str, pattern: str, app: str,
+    job: Optional[str] = None, **filters: Any,
 ) -> List[dict]:
+    """One Table I row per routing for the standalone family ``name``."""
+    return [
+        {"routing": routing, **_intensity_row(runs, name, pattern, app, job)}
+        for routing, runs in _family(store, name, populate=populate, **filters).items()
+    ]
+
+
+def _interference_row(
+    app: str,
+    baseline: List[StoredResult],
+    baseline_name: str,
+    interfered: List[StoredResult],
+    versus: str,
+) -> dict:
+    """``app``'s interference summary: co-run ``interfered`` vs ``baseline``.
+
+    The baseline must be one configuration, and it must share scale,
+    placement, system and the target's own job with the co-run (``versus``
+    names the pair in the error); the caller checks that the co-run is one
+    configuration, once for all the rows it feeds.  A baseline compared
+    against itself (``interfered is baseline``) is a standalone row with
+    slowdown 1.
+    """
+    ensure_uniform(baseline, baseline_name)
+    if interfered is not baseline:
+        ensure_comparable(baseline + interfered, versus)
+    return InterferenceSummary(
+        app=app,
+        standalone_comm_ns=mean_metric(baseline, "comm_time_ns", app),
+        interfered_comm_ns=mean_metric(interfered, "comm_time_ns", app),
+        standalone_std_ns=mean_metric(baseline, "comm_time_std_ns", app),
+        interfered_std_ns=mean_metric(interfered, "comm_time_std_ns", app),
+    ).as_dict()
+
+
+# ------------------------------------------------- store-backed row builders
+def table1_rows(store: ResultStore, **filters: Any) -> List[dict]:
     """Table I rows (application communication intensity) from a result store.
 
     Selects the stored ``table1/<App>`` standalone runs (optionally narrowed
@@ -179,15 +251,8 @@ def table1_rows(
     No simulation is launched.  Raises ``ValueError`` on an unpopulated
     store.
     """
-    from repro.results.store import ensure_uniform, mean_metric
-    from repro.workloads import APPLICATIONS
-
     by_app: Dict[str, list] = {}
-    for run in store.runs(
-        name_prefix="table1/", routing=routing, seed=seed, scale=scale,
-        placement=placement, start_time=start_time, knobs=knobs,
-        fidelity=fidelity,
-    ):
+    for run in store.runs(name_prefix="table1/", **filters):
         if len(run.jobs) == 1:
             by_app.setdefault(run.jobs[0], []).append(run)
     if not by_app:
@@ -196,33 +261,13 @@ def table1_rows(
             "'dragonfly-sim run table1/FFT3D --store PATH' or "
             "'dragonfly-sim sweep --scenario table1/FFT3D --store PATH'"
         )
-    rows = []
-    for app in sorted(by_app):
-        runs = by_app[app]
-        ensure_uniform(runs, f"table1/{app}")
-        rows.append(
-            {
-                "pattern": APPLICATIONS[app].pattern,
-                "app": app,
-                "total_msg_bytes": mean_metric(runs, "total_msg_bytes", app),
-                "execution_time_ns": mean_metric(runs, "execution_time_ns", app),
-                "injection_rate_gbps": mean_metric(runs, "injection_rate_gbps", app),
-                "peak_ingress_bytes": mean_metric(runs, "peak_ingress_bytes", app),
-            }
-        )
-    return rows
+    return [
+        _intensity_row(by_app[app], f"table1/{app}", APPLICATIONS[app].pattern, app)
+        for app in sorted(by_app)
+    ]
 
 
-def table2_rows(
-    store: "ResultStore",
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
+def table2_rows(store: ResultStore, **filters: Any) -> List[dict]:
     """Table II rows (mixed-workload job sizes + measured comm time) from a store.
 
     Job sizes come from the stored ``mixed/table2`` scenario description and
@@ -231,19 +276,14 @@ def table2_rows(
     mix, aggregated across the matching runs.
     """
     from repro.experiments.configs import PAPER_TABLE2_JOB_SIZES
-    from repro.results.store import ensure_uniform, mean_metric
 
-    runs = store.runs_named(
-        "mixed/table2", routing=routing, seed=seed, scale=scale,
-        placement=placement, start_time=start_time, knobs=knobs,
-        fidelity=fidelity,
-    )
+    runs = store.runs_named(MIXED_SCENARIO_NAME, **filters)
     if not runs:
         raise ValueError(
-            "no mixed/table2 runs in the store; populate it with "
-            "'dragonfly-sim sweep --scenario mixed/table2 --store PATH'"
+            f"no {MIXED_SCENARIO_NAME} runs in the store; populate it with "
+            f"'dragonfly-sim sweep --scenario {MIXED_SCENARIO_NAME} --store PATH'"
         )
-    ensure_uniform(runs, "mixed/table2")
+    ensure_uniform(runs, MIXED_SCENARIO_NAME)
     ranks = runs[0].job_ranks()
     total = sum(ranks.values())
     paper_total = float(sum(PAPER_TABLE2_JOB_SIZES.values()))
@@ -263,16 +303,122 @@ def table2_rows(
     return rows
 
 
+def comparison_rows(
+    store: ResultStore,
+    target: str,
+    background: Optional[str],
+    routings: Optional[Sequence[str]] = None,
+    **filters: Any,
+) -> List[dict]:
+    """Fig. 4 comparison rows built from a result store — no simulation.
+
+    Looks up the recorded ``pairwise/<target>`` standalone baseline and (when
+    ``background`` is given) the ``pairwise/<target>+<background>`` co-run,
+    aggregates each metric across the matching seeds, and returns one row per
+    routing algorithm: ``routing``, ``target``, ``background`` and the
+    :class:`~repro.metrics.interference.InterferenceSummary` columns.
+    ``routings=None`` reports every routing present; ``filters`` narrow the
+    matched runs.  ``start_time`` narrows the *co-run* family to one
+    arrival stagger (``0.0`` = simultaneous), which disambiguates stores
+    holding both staggered and simultaneous runs of one pair; the
+    comparison's baseline is always the simultaneous-arrival standalone run
+    (a standalone job delayed into an empty network is the same experiment
+    shifted in time).  With ``background=None`` — a pure baseline report —
+    ``start_time`` selects among the standalone runs themselves.  ``knobs``
+    (``{job: {kwarg: value}}``) likewise narrows the co-run family to one
+    cell of a ``job_knobs`` sweep, e.g. ``{"hotspot": {"hot_fraction":
+    0.9}}``.  Raises ``ValueError`` when a required run is missing (populate
+    the store with ``dragonfly-sim sweep --scenario pairwise/<T>+<B> --store
+    PATH``).
+    """
+    target = resolve_application(target)
+    background = resolve_application(background) if background else None
+    base_name = f"pairwise/{target}"
+    pair_name = f"pairwise/{target}+{background}" if background else base_name
+    populate = f"'dragonfly-sim sweep --scenario {pair_name} --store PATH'" + (
+        f" (and --scenario {base_name} for the baseline)" if background else ""
+    )
+    pairs = _family(
+        store, pair_name, routings, populate=populate, label=repr(pair_name), **filters
+    )
+    # Fidelity, like every other filter, narrows both families: comparing a
+    # flow-level co-run against a packet-level baseline would mix
+    # approximations (docs/fidelity.md).
+    bases = pairs if background is None else _family(
+        store, base_name, list(pairs), **{**filters, "start_time": 0.0, "knobs": None}
+    )
+    rows = []
+    for routing, interfered in pairs.items():
+        baseline = bases[routing]
+        for family, runs, role in (
+            (base_name, baseline, "baseline"), (pair_name, interfered, "co-run")
+        ):
+            if not runs:
+                raise ValueError(
+                    f"no stored {family!r} {role} under routing {routing!r}; populate "
+                    f"the store with 'dragonfly-sim sweep --scenario {family} --store PATH'"
+                )
+        if background:
+            ensure_uniform(interfered, pair_name)
+        summary = _interference_row(
+            target, baseline, base_name, interfered, f"{base_name} vs {pair_name}"
+        )
+        rows.append(
+            {"routing": routing, "target": target, "background": background or "None", **summary}
+        )
+    return rows
+
+
+def mixed_rows_from_store(
+    store: ResultStore, routings: Optional[Sequence[str]] = None, **filters: Any
+) -> List[dict]:
+    """Fig. 10 interference rows built from a result store — no simulation.
+
+    For every routing (all present when ``routings=None``), compares each
+    application's communication time in the recorded ``mixed/table2`` run
+    against its ``mixed/solo/<App>`` standalone baseline, aggregating across
+    the matching seeds.  Raises ``ValueError`` when a required run is missing
+    (populate the store with ``dragonfly-sim sweep --scenario 'mixed/*'
+    --store PATH``, or ``run_sweep(..., store=...)`` over
+    :func:`repro.experiments.scenario.mixed_scenario` and
+    :func:`~repro.experiments.scenario.mixed_solo_scenarios`).
+    """
+    populate = f"'dragonfly-sim sweep --scenario {MIXED_SCENARIO_NAME} --store PATH'"
+    mixes = _family(
+        store, MIXED_SCENARIO_NAME, populate=populate, label=repr(MIXED_SCENARIO_NAME), **filters
+    )
+    # start_time/knobs narrow the mix; the solo baselines are always the
+    # simultaneous-arrival standalone runs (as in comparison_rows).
+    solo_filters = {**filters, "start_time": 0.0, "knobs": None}
+    rows = []
+    for routing in mixes if routings is None else routings:
+        mixed = mixes.get(routing)
+        if not mixed:
+            raise ValueError(
+                f"no stored {MIXED_SCENARIO_NAME!r} run under routing {routing!r}"
+            )
+        ensure_uniform(mixed, MIXED_SCENARIO_NAME)
+        for app in mixed[0].jobs:
+            solo_name = MIXED_SOLO_PREFIX + app
+            solos = _family(store, solo_name, [routing], **solo_filters)[routing]
+            if not solos:
+                raise ValueError(
+                    f"no stored {solo_name!r} baseline under routing {routing!r}; populate "
+                    f"it with 'dragonfly-sim sweep --scenario {solo_name} --store PATH' "
+                    "(one per application in the mix)"
+                )
+            summary = _interference_row(
+                app, solos, solo_name, mixed, f"{MIXED_SCENARIO_NAME} vs {solo_name}"
+            )
+            rows.append({"routing": routing, **summary})
+    return rows
+
+
 def synthetic_rows(
-    store: "ResultStore",
+    store: ResultStore,
     target: str,
     routings: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
+    **filters: Any,
 ) -> List[dict]:
     """Synthetic-background comparison rows for one target — no simulation.
 
@@ -282,20 +428,13 @@ def synthetic_rows(
     the ``dragonfly-sim report synthetic/<Target>`` table: how much each
     traffic pattern slows the target down, side by side.
     """
-    from repro.analysis.pairwise import comparison_rows
-    from repro.workloads import SYNTHETIC_PATTERNS, resolve_application
-
     target = resolve_application(target)
     # One prefix query discovers every stored background family; the names
     # are either "pairwise/<T>+<p>" or a grid expansion "...[axis,...]".
     prefix = f"pairwise/{target}+"
     present = {
         run.name[len(prefix):].partition("[")[0]
-        for run in store.runs(
-            name_prefix=prefix,
-            seed=seed, scale=scale, placement=placement, start_time=start_time,
-            knobs=knobs, fidelity=fidelity,
-        )
+        for run in store.runs(name_prefix=prefix, **filters)
     }
     found = [pattern for pattern in sorted(SYNTHETIC_PATTERNS) if pattern in present]
     if not found:
@@ -307,183 +446,16 @@ def synthetic_rows(
         )
     rows: List[dict] = []
     for pattern in found:
-        rows.extend(
-            comparison_rows(
-                store, target, pattern,
-                routings=routings, seed=seed, scale=scale, placement=placement,
-                start_time=start_time, knobs=knobs, fidelity=fidelity,
-            )
-        )
+        rows.extend(comparison_rows(store, target, pattern, routings, **filters))
     rows.sort(key=lambda row: (row["background"], row["routing"]))
     return rows
 
 
-def synthetic_standalone_rows(
-    store: "ResultStore",
-    pattern: str,
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
-    """Intensity rows of one standalone synthetic pattern, per routing.
-
-    Reads the stored ``synthetic/<pattern>`` runs (the registered standalone
-    presets) and renders Table I-style intensity columns — this is what
-    ``dragonfly-sim report synthetic/hotspot`` means when the name after
-    ``synthetic/`` is a pattern rather than a target application.
-    """
-    from repro.results.store import ensure_uniform, mean_metric
-
-    runs = store.runs_named(
-        f"synthetic/{pattern}",
-        routing=routing, seed=seed, scale=scale, placement=placement,
-        start_time=start_time, knobs=knobs, fidelity=fidelity,
-    )
-    if not runs:
-        raise ValueError(
-            f"no stored synthetic/{pattern} runs; populate the store with "
-            f"'dragonfly-sim run synthetic/{pattern} --store PATH'"
-        )
-    rows = []
-    for algo in sorted({run.routing for run in runs}):
-        matched = [run for run in runs if run.routing == algo]
-        ensure_uniform(matched, f"synthetic/{pattern}")
-        rows.append(
-            {
-                "routing": algo,
-                "pattern": pattern,
-                "app": pattern,
-                "total_msg_bytes": mean_metric(matched, "total_msg_bytes", pattern),
-                "execution_time_ns": mean_metric(matched, "execution_time_ns", pattern),
-                "injection_rate_gbps": mean_metric(matched, "injection_rate_gbps", pattern),
-                "peak_ingress_bytes": mean_metric(matched, "peak_ingress_bytes", pattern),
-            }
-        )
-    return rows
-
-
-def ml_rows(
-    store: "ResultStore",
-    pattern: str,
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
-    """Intensity rows of one standalone ML-collective pattern, per routing.
-
-    Reads the stored ``ml/<pattern>`` runs (the registered standalone
-    presets — see :func:`repro.experiments.scenario.ml_scenario`) and renders
-    Table I-style intensity columns, one row per routing algorithm.  This is
-    ``dragonfly-sim report ml/ring_allreduce``; interference of an ML pattern
-    against a target goes through the usual pairwise machinery
-    (``report pairwise/<Target>+ml.<pattern>``).
-    """
-    from repro.results.store import ensure_uniform, mean_metric
-    from repro.workloads import ML_COLLECTIVES, resolve_application
-
-    app = resolve_application(pattern if pattern.startswith("ml.") else f"ml.{pattern}")
-    if app not in ML_COLLECTIVES:
-        raise ValueError(
-            f"{pattern!r} is not an ML-collective pattern; ml reports cover "
-            f"{sorted(ML_COLLECTIVES)}"
-        )
-    short = app.split(".", 1)[1]
-    runs = store.runs_named(
-        f"ml/{short}",
-        routing=routing, seed=seed, scale=scale, placement=placement,
-        start_time=start_time, knobs=knobs, fidelity=fidelity,
-    )
-    if not runs:
-        raise ValueError(
-            f"no stored ml/{short} runs; populate the store with "
-            f"'dragonfly-sim run ml/{short} --store PATH'"
-        )
-    rows = []
-    for algo in sorted({run.routing for run in runs}):
-        matched = [run for run in runs if run.routing == algo]
-        ensure_uniform(matched, f"ml/{short}")
-        rows.append(
-            {
-                "routing": algo,
-                "pattern": ML_COLLECTIVES[app].pattern,
-                "app": app,
-                "total_msg_bytes": mean_metric(matched, "total_msg_bytes", app),
-                "execution_time_ns": mean_metric(matched, "execution_time_ns", app),
-                "injection_rate_gbps": mean_metric(matched, "injection_rate_gbps", app),
-                "peak_ingress_bytes": mean_metric(matched, "peak_ingress_bytes", app),
-            }
-        )
-    return rows
-
-
-def trace_rows(
-    store: "ResultStore",
-    name: str,
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> List[dict]:
-    """Intensity rows of stored trace-replay runs, per routing.
-
-    Reads the runs stored under ``trace/<name>`` (the default scenario name
-    :func:`repro.traces.replay_scenario` gives a replay of app ``<name>``)
-    and renders Table I-style intensity columns per routing algorithm.  The
-    replayed job is always named ``trace`` in the run's per-app metrics.
-    Backs ``dragonfly-sim report trace/<name>``.
-    """
-    from repro.results.store import ensure_uniform, mean_metric
-
-    runs = store.runs_named(
-        f"trace/{name}",
-        routing=routing, seed=seed, scale=scale, placement=placement,
-        start_time=start_time, knobs=knobs, fidelity=fidelity,
-    )
-    if not runs:
-        raise ValueError(
-            f"no stored trace/{name} runs; populate the store with "
-            f"'dragonfly-sim trace replay PATH.trace.jsonl --store PATH'"
-        )
-    rows = []
-    for algo in sorted({run.routing for run in runs}):
-        matched = [run for run in runs if run.routing == algo]
-        ensure_uniform(matched, f"trace/{name}")
-        rows.append(
-            {
-                "routing": algo,
-                "pattern": "trace-replay",
-                "app": name,
-                "total_msg_bytes": mean_metric(matched, "total_msg_bytes", "trace"),
-                "execution_time_ns": mean_metric(matched, "execution_time_ns", "trace"),
-                "injection_rate_gbps": mean_metric(matched, "injection_rate_gbps", "trace"),
-                "peak_ingress_bytes": mean_metric(matched, "peak_ingress_bytes", "trace"),
-            }
-        )
-    return rows
-
-
 def loadcurve_rows(
-    store: "ResultStore",
+    store: ResultStore,
     pattern: str,
     routings: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    offered_load: Optional[float] = None,
-    fidelity: Optional[str] = None,
+    **filters: Any,
 ) -> List[dict]:
     """Latency-vs-offered-load curve rows for one pattern — no simulation.
 
@@ -495,53 +467,43 @@ def loadcurve_rows(
     Every reported metric is a measurement-window metric: warmup is excluded
     by construction.  A store holding several window configs of one pattern
     yields one row per config, told apart by the ``window_ns`` column
-    (``warmup+measurement``); ``start_time`` narrows to one arrival stagger
-    like the other reports.
+    (``warmup+measurement``) and ordered by warmup, then measurement, with
+    an open-ended measurement window last; ``start_time`` narrows to one
+    arrival stagger like the other reports.  ``routings`` restricts the
+    curve to those algorithms.
     """
-    from repro.results.store import ensure_uniform, mean_metric
-    from repro.workloads import SYNTHETIC_PATTERNS, resolve_application
-
     pattern = resolve_application(pattern)
     if pattern not in SYNTHETIC_PATTERNS:
         raise ValueError(
             f"{pattern!r} is not a synthetic pattern; loadcurve reports cover "
             f"{sorted(SYNTHETIC_PATTERNS)}"
         )
-    runs = store.runs_named(
-        f"loadcurve/{pattern}",
-        seed=seed, scale=scale, placement=placement, start_time=start_time,
-        knobs=knobs, offered_load=offered_load, fidelity=fidelity,
+    name = f"loadcurve/{pattern}"
+    populate = (
+        f"e.g. 'dragonfly-sim sweep --scenario {name} "
+        f"--offered-loads 0.1 0.4 0.7 --store PATH'"
     )
-    if routings is not None:
-        runs = [run for run in runs if run.routing in routings]
-    if not runs:
-        raise ValueError(
-            f"no stored loadcurve/{pattern} runs; populate the store with e.g. "
-            f"'dragonfly-sim sweep --scenario loadcurve/{pattern} "
-            f"--offered-loads 0.1 0.4 0.7 --store PATH'"
-        )
     groups: Dict[tuple, list] = {}
-    for run in runs:
-        loads = {load for load in run.job_offered_loads() if load is not None}
-        if len(loads) != 1:
-            continue  # not a single-load steady-state run
-        # Fidelity is a grouping axis: packet- and flow-level points of one
-        # pattern trace *separate* curves (flow latencies are message-level
-        # approximations), never one blended statistic.
-        key = (
-            run.routing, loads.pop(), run.window(), run.job_start_times(),
-            run.fidelity(),
-        )
-        groups.setdefault(key, []).append(run)
+    for routing, runs in _family(store, name, routings, populate=populate, **filters).items():
+        for run in runs:
+            loads = {load for load in run.job_offered_loads() if load is not None}
+            if len(loads) != 1:
+                continue  # not a single-load steady-state run
+            # Fidelity is a grouping axis: packet- and flow-level points of
+            # one pattern trace *separate* curves (flow latencies are
+            # message-level approximations), never one blended statistic.
+            key = (routing, loads.pop(), run.window(), run.job_start_times(), run.fidelity())
+            groups.setdefault(key, []).append(run)
+
+    def order(key: tuple) -> tuple:
+        routing, load, (warmup, measurement), starts, fidelity = key
+        return (routing, load, warmup, measurement is None, measurement or 0.0, starts, fidelity)
+
     rows = []
-    # Stringify the window for ordering: a warmup-only config carries
-    # measurement_ns=None, which floats refuse to compare against.
-    for routing, load, window, _starts, fidelity in sorted(
-        groups, key=lambda k: (k[0], k[1], tuple(str(part) for part in k[2]), k[3], k[4])
-    ):
-        matched = groups[(routing, load, window, _starts, fidelity)]
-        ensure_uniform(matched, f"loadcurve/{pattern}")
-        warmup, measurement = window
+    for key in sorted(groups, key=order):
+        routing, load, (warmup, measurement), _starts, fidelity = key
+        matched = groups[key]
+        ensure_uniform(matched, name)
         # Flow-level runs have no packets: their windowed latency columns
         # come from the message-level analogues (see docs/fidelity.md).
         latency = "measured_message_latency" if fidelity == "flow" else "measured_packet_latency"
@@ -561,156 +523,154 @@ def loadcurve_rows(
     return rows
 
 
+# ------------------------------------------------------------ named reports
+_Report = Tuple[str, List[str], List[dict]]
+_STANDALONE_COLUMNS = ["routing", *TABLE1_COLUMNS]
+
+
+def _as_routings(filters: dict) -> dict:
+    """``filters`` with its ``routing`` turned into the ``routings`` list of
+    the multi-routing builders, which name a routing that lacks runs."""
+    routing = filters.get("routing")
+    rest = {key: value for key, value in filters.items() if key != "routing"}
+    return {**rest, "routings": None if routing is None else [routing]}
+
+
+def _table1_report(store: ResultStore, _: str, filters: dict) -> _Report:
+    rows = table1_rows(store, **filters)
+    return "Table I — application communication intensity", TABLE1_COLUMNS, rows
+
+
+def _table2_report(store: ResultStore, _: str, filters: dict) -> _Report:
+    rows = table2_rows(store, **filters)
+    return "Table II — mixed workload job sizes and communication time", TABLE2_COLUMNS, rows
+
+
+def _mixed_report(store: ResultStore, _: str, filters: dict) -> _Report:
+    rows = mixed_rows_from_store(store, **_as_routings(filters))
+    return "Mixed workload — per-application interference (Fig. 10)", MIXED_COLUMNS, rows
+
+
+def _pairwise_report(store: ResultStore, pair: str, filters: dict) -> _Report:
+    target, _, background = pair.partition("+")
+    if not target:
+        raise ValueError("pairwise report needs a target: pairwise/<Target>+<Background>")
+    rows = comparison_rows(store, target, background or None, **_as_routings(filters))
+    return f"Pairwise interference — {pair} (Fig. 4)", PAIRWISE_COLUMNS, rows
+
+
+def _synthetic_report(store: ResultStore, name: str, filters: dict) -> _Report:
+    if not name:
+        raise ValueError(
+            "synthetic report needs a name: synthetic/<Target> (interference "
+            "against every stored pattern) or synthetic/<pattern> (that "
+            "pattern's standalone intensity)"
+        )
+    # `synthetic/<pattern>` is also a scenario family ("run" stores its
+    # standalone runs under that name), so a pattern name here reports
+    # those runs rather than treating the pattern as a co-run target.
+    pattern = resolve_application(name)
+    if pattern not in SYNTHETIC_PATTERNS:
+        rows = synthetic_rows(store, name, **_as_routings(filters))
+        return f"Synthetic-background interference — {name}", PAIRWISE_COLUMNS, rows
+    family = f"synthetic/{pattern}"
+    rows = _standalone_rows(
+        store, family, f"'dragonfly-sim run {family} --store PATH'", pattern, pattern, **filters
+    )
+    return f"Synthetic pattern intensity — {pattern} (standalone)", _STANDALONE_COLUMNS, rows
+
+
+def _loadcurve_report(store: ResultStore, pattern: str, filters: dict) -> _Report:
+    if not pattern:
+        raise ValueError("loadcurve report needs a pattern: loadcurve/<pattern>")
+    rows = loadcurve_rows(store, pattern, **filters)
+    return f"Steady-state latency vs offered load — {pattern}", LOADCURVE_COLUMNS, rows
+
+
+def _ml_report(store: ResultStore, pattern: str, filters: dict) -> _Report:
+    if not pattern:
+        raise ValueError("ml report needs a pattern: ml/<pattern>")
+    # Interference of an ML pattern against a target goes through the
+    # pairwise reports (``pairwise/<Target>+ml.<pattern>``).
+    app = resolve_application(pattern if pattern.startswith("ml.") else f"ml.{pattern}")
+    if app not in ML_COLLECTIVES:
+        raise ValueError(
+            f"{pattern!r} is not an ML-collective pattern; ml reports cover "
+            f"{sorted(ML_COLLECTIVES)}"
+        )
+    family = f"ml/{app.split('.', 1)[1]}"
+    rows = _standalone_rows(
+        store, family, f"'dragonfly-sim run {family} --store PATH'",
+        ML_COLLECTIVES[app].pattern, app, **filters,
+    )
+    return f"ML-collective intensity — {pattern} (standalone)", _STANDALONE_COLUMNS, rows
+
+
+def _trace_report(store: ResultStore, replay: str, filters: dict) -> _Report:
+    if not replay:
+        raise ValueError("trace report needs a name: trace/<name>")
+    # repro.traces.replay_scenario names a replay of app <name> trace/<name>
+    # and its one job "trace".
+    rows = _standalone_rows(
+        store, f"trace/{replay}", "'dragonfly-sim trace replay PATH.trace.jsonl --store PATH'",
+        "trace-replay", replay, "trace", **filters,
+    )
+    return f"Trace replay intensity — {replay}", _STANDALONE_COLUMNS, rows
+
+
+#: Report kinds: name prefix -> (argument forms, builder).  A kind with
+#: argument forms takes the rest of the report name as its argument
+#: (``pairwise/FFT3D+UR`` -> ``FFT3D+UR``); a builder returns the report's
+#: ``(title, columns, rows)``.
+_REPORTS: Dict[str, Tuple[Tuple[str, ...], Callable[[ResultStore, str, dict], _Report]]] = {
+    "table1": ((), _table1_report),
+    "table2": ((), _table2_report),
+    "mixed": ((), _mixed_report),
+    "pairwise/": (("<Target>+<Background>",), _pairwise_report),
+    "synthetic/": (("<Target>", "<pattern>"), _synthetic_report),
+    "loadcurve/": (("<pattern>",), _loadcurve_report),
+    "ml/": (("<pattern>",), _ml_report),
+    "trace/": (("<name>",), _trace_report),
+}
+
+
 def report_names() -> List[str]:
-    """Names ``build_report`` accepts (pairwise reports are parameterized)."""
-    return [
-        "table1",
-        "table2",
-        "mixed",
-        "pairwise/<Target>+<Background>",
-        "synthetic/<Target>",
-        "synthetic/<pattern>",
-        "loadcurve/<pattern>",
-        "ml/<pattern>",
-        "trace/<name>",
-    ]
+    """Names ``build_report`` accepts (``<...>`` marks a report's argument)."""
+    return [prefix + form for prefix, (forms, _) in _REPORTS.items() for form in forms or ("",)]
 
 
-def build_report(
-    store: "ResultStore",
-    name: str,
-    fmt: str = "table",
-    routing: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-    placement: Optional[str] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    fidelity: Optional[str] = None,
-) -> str:
+def build_report(store: ResultStore, name: str, fmt: str = "table", **filters: Any) -> str:
     """Build a named report from a result store, rendered in ``fmt``.
 
-    ``name`` is ``table1``, ``table2``, ``mixed`` (the Fig. 10 interference
-    rows), ``pairwise/<Target>+<Background>`` (``pairwise/<Target>`` for
-    the standalone baseline row), ``synthetic/<Target>`` (the target
-    against every stored synthetic background), ``loadcurve/<pattern>``
-    (the steady-state latency-vs-offered-load curve, one row per routing ×
-    load), ``ml/<pattern>`` (standalone ML-collective intensity per routing)
-    or ``trace/<name>`` (stored trace-replay intensity per routing).
-    ``routing``/``seed``/``scale``/``placement``/``fidelity`` narrow the
-    stored runs considered; metrics are aggregated (mean) across whatever
-    still matches.  ``fidelity`` disambiguates stores holding packet- and
-    flow-level runs of one scenario (see docs/fidelity.md): the two are
-    different approximations and are never averaged together.  Backs
-    ``dragonfly-sim report``.
+    ``name`` is ``table1``, ``table2`` (alias ``mixed/table2``), ``mixed``
+    (the Fig. 10 interference rows), ``pairwise/<Target>+<Background>``
+    (``pairwise/<Target>`` for the standalone baseline row),
+    ``synthetic/<Target>`` (the target against every stored synthetic
+    background), ``synthetic/<pattern>`` (that pattern's standalone
+    intensity per routing), ``loadcurve/<pattern>`` (the steady-state
+    latency-vs-offered-load curve, one row per routing × load),
+    ``ml/<pattern>`` (standalone ML-collective intensity per routing) or
+    ``trace/<name>`` (stored trace-replay intensity per routing).
+    ``filters`` (the keyword arguments of
+    :meth:`~repro.results.ResultStore.runs`: ``routing``, ``seed``,
+    ``scale``, ``placement``, ``start_time``, ``knobs``, ``fidelity``, …)
+    narrow the stored runs considered; metrics are aggregated (mean) across
+    whatever still matches.  ``fidelity`` disambiguates stores holding
+    packet- and flow-level runs of one scenario (see docs/fidelity.md): the
+    two are different approximations and are never averaged together.
+    Backs ``dragonfly-sim report``.
     """
-    if routing is not None:
+    if filters.get("routing") is not None:
         # Stored runs carry canonical algorithm names; accept the same
         # aliases the sweep that populated them accepted ("ugalg" etc.).
         from repro.routing import resolve_algorithm
 
-        routing = resolve_algorithm(routing)
-    routings = [routing] if routing is not None else None
-    if name == "table1":
-        title = "Table I — application communication intensity"
-        rows = table1_rows(
-            store, routing=routing, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
-        columns = TABLE1_COLUMNS
-    elif name in ("table2", "mixed/table2"):
-        title = "Table II — mixed workload job sizes and communication time"
-        rows = table2_rows(
-            store, routing=routing, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
-        columns = TABLE2_COLUMNS
-    elif name == "mixed":
-        from repro.analysis.mixed import mixed_rows_from_store
-
-        title = "Mixed workload — per-application interference (Fig. 10)"
-        rows = mixed_rows_from_store(
-            store, routings=routings, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
-        columns = MIXED_COLUMNS
-    elif name.startswith("pairwise/"):
-        from repro.analysis.pairwise import comparison_rows
-
-        pair = name[len("pairwise/"):]
-        target, _, background = pair.partition("+")
-        if not target:
-            raise ValueError("pairwise report needs a target: pairwise/<Target>+<Background>")
-        title = f"Pairwise interference — {pair} (Fig. 4)"
-        rows = comparison_rows(
-            store, target, background or None,
-            routings=routings, seed=seed, scale=scale, placement=placement,
-            start_time=start_time, knobs=knobs, fidelity=fidelity,
-        )
-        columns = PAIRWISE_COLUMNS
-    elif name.startswith("loadcurve/"):
-        pattern = name[len("loadcurve/"):]
-        if not pattern:
-            raise ValueError("loadcurve report needs a pattern: loadcurve/<pattern>")
-        title = f"Steady-state latency vs offered load — {pattern}"
-        rows = loadcurve_rows(
-            store, pattern, routings=routings, seed=seed, scale=scale,
-            placement=placement, start_time=start_time, knobs=knobs,
-            fidelity=fidelity,
-        )
-        columns = LOADCURVE_COLUMNS
-    elif name.startswith("ml/"):
-        pattern = name[len("ml/"):]
-        if not pattern:
-            raise ValueError("ml report needs a pattern: ml/<pattern>")
-        title = f"ML-collective intensity — {pattern} (standalone)"
-        rows = ml_rows(
-            store, pattern, routing=routing, seed=seed, scale=scale,
-            placement=placement, start_time=start_time, knobs=knobs,
-            fidelity=fidelity,
-        )
-        columns = ["routing"] + TABLE1_COLUMNS
-    elif name.startswith("trace/"):
-        replay = name[len("trace/"):]
-        if not replay:
-            raise ValueError("trace report needs a name: trace/<name>")
-        title = f"Trace replay intensity — {replay}"
-        rows = trace_rows(
-            store, replay, routing=routing, seed=seed, scale=scale,
-            placement=placement, start_time=start_time, knobs=knobs,
-            fidelity=fidelity,
-        )
-        columns = ["routing"] + TABLE1_COLUMNS
-    elif name.startswith("synthetic/"):
-        from repro.workloads import SYNTHETIC_PATTERNS, resolve_application
-
-        target = name[len("synthetic/"):]
-        if not target:
-            raise ValueError(
-                "synthetic report needs a name: synthetic/<Target> (interference "
-                "against every stored pattern) or synthetic/<pattern> (that "
-                "pattern's standalone intensity)"
-            )
-        # `synthetic/<pattern>` is also a scenario family ("run" stores its
-        # standalone runs under that name), so a pattern name here reports
-        # those runs rather than treating the pattern as a co-run target.
-        if resolve_application(target) in SYNTHETIC_PATTERNS:
-            pattern = resolve_application(target)
-            title = f"Synthetic pattern intensity — {pattern} (standalone)"
-            rows = synthetic_standalone_rows(
-                store, pattern, routing=routing, seed=seed, scale=scale,
-                placement=placement, start_time=start_time, knobs=knobs,
-                fidelity=fidelity,
-            )
-            columns = ["routing"] + TABLE1_COLUMNS
-        else:
-            title = f"Synthetic-background interference — {target}"
-            rows = synthetic_rows(
-                store, target, routings=routings, seed=seed, scale=scale,
-                placement=placement, start_time=start_time, knobs=knobs,
-                fidelity=fidelity,
-            )
-            columns = PAIRWISE_COLUMNS
+        filters["routing"] = resolve_algorithm(filters["routing"])
+    kind = "table2" if name == MIXED_SCENARIO_NAME else name
+    for prefix, (forms, builder) in _REPORTS.items():
+        if kind.startswith(prefix) if forms else kind == prefix:
+            title, columns, rows = builder(store, kind[len(prefix):], filters)
+            break
     else:
         raise ValueError(f"unknown report {name!r}; choose from {report_names()}")
 

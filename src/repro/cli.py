@@ -313,6 +313,22 @@ def _resolve_scenarios(refs: Sequence[str]) -> Optional[List[Scenario]]:
     return scenarios
 
 
+#: Flags that override (run, trace record) or filter by (report) one axis
+#: of a scenario; the option name is the keyword of ``Scenario.with_updates``
+#: and of ``ResultStore.runs``.
+_SCENARIO_AXES = ("routing", "placement", "fidelity", "seed", "scale")
+
+
+def _given(args: argparse.Namespace, axes: Sequence[str]) -> dict:
+    """``{axis: value}`` for each of ``axes`` the user passed on the command line.
+
+    Unset options are ``None`` or, for the shared ``--seed``/``--scale``
+    (``argparse.SUPPRESS``), absent; a subcommand without the option at all
+    (``trace record`` has no ``--fidelity``) never passes it.
+    """
+    return {axis: value for axis in axes if (value := getattr(args, axis, None)) is not None}
+
+
 def _dump_and_report(path: str, scenarios: List[Scenario]) -> int:
     dump_scenarios(path, scenarios)
     label = scenarios[0].name if len(scenarios) == 1 else f"{len(scenarios)} scenarios"
@@ -390,17 +406,7 @@ def _run_run(args: argparse.Namespace) -> int:
     scenarios = _resolve_scenarios([args.scenario])
     if scenarios is None:
         return 2
-    overrides = {}
-    if args.routing is not None:
-        overrides["routing"] = args.routing
-    if args.placement is not None:
-        overrides["placement"] = args.placement
-    if args.fidelity is not None:
-        overrides["fidelity"] = args.fidelity
-    if hasattr(args, "seed"):
-        overrides["seed"] = args.seed
-    if hasattr(args, "scale"):
-        overrides["scale"] = args.scale
+    overrides = _given(args, _SCENARIO_AXES)
     if overrides:
         scenarios = [scenario.with_updates(**overrides) for scenario in scenarios]
     dump = _dump_path(args)
@@ -465,15 +471,7 @@ def _run_trace_record(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    overrides = {}
-    if args.routing is not None:
-        overrides["routing"] = args.routing
-    if args.placement is not None:
-        overrides["placement"] = args.placement
-    if hasattr(args, "seed"):
-        overrides["seed"] = args.seed
-    if hasattr(args, "scale"):
-        overrides["scale"] = args.scale
+    overrides = _given(args, _SCENARIO_AXES)
     scenario = scenarios[0].with_updates(**overrides) if overrides else scenarios[0]
     _, traces = record_scenario(scenario)
     if args.job is not None:
@@ -596,13 +594,8 @@ def _run_report(args: argparse.Namespace) -> int:
                 store,
                 args.name,
                 fmt=args.fmt,
-                routing=args.routing,
-                seed=getattr(args, "seed", None),
-                scale=getattr(args, "scale", None),
-                placement=args.placement,
-                start_time=args.start_time,
                 knobs=_parse_knobs(args.knob),
-                fidelity=args.fidelity,
+                **_given(args, _SCENARIO_AXES + ("start_time",)),
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

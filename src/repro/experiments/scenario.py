@@ -621,7 +621,7 @@ def pairwise_scenario(
 
     ``pairwise/<target>+<background>`` and its ``pairwise/<target>``
     baseline are the two halves of the Fig. 4 comparison that
-    :func:`repro.analysis.pairwise.comparison_rows` reads back from a store.
+    :func:`repro.analysis.comparison_rows` reads back from a store.
     ``target_ranks``/``background_ranks`` override the half-system job
     sizes, and ``config`` the default
     :func:`~repro.experiments.configs.bench_config` (e.g. for tiny test
@@ -665,7 +665,7 @@ def mixed_solo_scenarios(
     Each scenario runs one application of :func:`mixed_scenario` alone at its
     *mixed* job size, which is what the Fig. 10 interference comparison
     measures against.  The naming convention is what
-    :func:`repro.analysis.mixed.mixed_rows_from_store` looks up.
+    :func:`repro.analysis.mixed_rows_from_store` looks up.
     """
     config = config if config is not None else bench_config(routing, seed=seed)
     return [

@@ -613,7 +613,7 @@ class ResultStore:
         metric: str,
         group_by: Sequence[str] = (
             "family", "jobs", "routing", "placement", "scale", "start_times",
-            "job_kwargs", "offered_loads", "window", "app",
+            "job_kwargs", "offered_loads", "window", "fidelity", "app",
         ),
         **filters: Any,
     ) -> List[dict]:
@@ -624,11 +624,12 @@ class ResultStore:
         values — the cross-seed statistics the paper's tables report.  The
         scenario ``family`` (name minus grid suffix), the message-volume
         ``scale``, the per-job arrival times ``start_times``, the per-job
-        ``offered_loads`` and the measurement ``window`` are grouping axes
-        by default, so different experiments that happen to share a jobs
-        string (``table1/FFT3D`` at 24 ranks vs ``pairwise/FFT3D`` at 32) —
-        or runs at different volumes, staggered arrivals, injection loads or
-        window configs — are never silently blended into one statistic.
+        ``offered_loads``, the measurement ``window`` and the simulation
+        ``fidelity`` are grouping axes by default, so different experiments
+        that happen to share a jobs string (``table1/FFT3D`` at 24 ranks vs
+        ``pairwise/FFT3D`` at 32) — or runs at different volumes, staggered
+        arrivals, injection loads, window configs or fidelities — are never
+        silently blended into one statistic.
         """
         groups: Dict[tuple, List[float]] = {}
         for row in self.rows(metric=metric, **filters):

@@ -6,9 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.mixed import mixed_rows_from_store
-from repro.analysis.pairwise import comparison_rows
-from repro.analysis.reports import build_report, format_csv, format_markdown, render_rows
+from repro.analysis import (
+    build_report,
+    comparison_rows,
+    format_csv,
+    format_markdown,
+    mixed_rows_from_store,
+    render_rows,
+)
 from repro.cli import main
 from repro.config import SimulationConfig, tiny_system
 from repro.experiments.configs import AppSpec
@@ -195,6 +200,17 @@ def test_aggregate_never_blends_mixed_scales_or_staggers():
 
     with pytest.raises(ValueError, match="arrival"):
         ensure_uniform(store.runs_named("test/UR", scale=0.2), "test/UR")
+
+
+def test_aggregate_never_blends_fidelities():
+    """Packet- and flow-level runs of one scenario aggregate separately."""
+    store = ResultStore()
+    packet = table1_scenario("UR", scale=0.05)
+    store.record(packet, {"comm_time_ns/UR": 18_065.0})
+    store.record(packet.with_updates(fidelity="flow"), {"comm_time_ns/UR": 11_637.0})
+    rows = store.aggregate("comm_time_ns", application="UR")
+    assert [(row["count"], row["mean"]) for row in rows] == [(1, 11_637.0), (1, 18_065.0)]
+    assert [row["fidelity"] for row in rows] == ["flow", "packet"]
 
 
 def test_mean_metric_reports_missing_metrics():
@@ -585,7 +601,8 @@ def test_cli_report_output_file(tmp_path, capsys):
 
 # --------------------------------------------------- every report kind, pinned
 #: Rendered text of every report kind in every format, one ``==> <name>
-#: [<format>]`` section each (regenerate by rendering _every_report_store()).
+#: [<format>]`` section each (regenerate by rendering every name below from
+#: the every_report_store fixture).
 REPORTS_GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.txt"
 
 

@@ -316,3 +316,20 @@ def test_loadcurve_report_separates_window_configs(tmp_path):
         # The start_time filter is accepted (and, for these simultaneous
         # runs, a no-op) — the remedy ensure_uniform's message points at.
         assert len(loadcurve_rows(store, "shift", start_time=0.0)) == 2
+
+
+def test_loadcurve_report_orders_window_configs_numerically():
+    """Window configs sort by number, not by text (5000 before 10000), and an
+    open-ended measurement window sorts after the bounded ones."""
+    store = ResultStore()
+    metrics = {
+        "accepted_throughput_gbps": 1.0,
+        "measured_packet_latency_mean_ns": 100.0,
+        "measured_packet_latency_p50_ns": 90.0,
+        "measured_packet_latency_p99_ns": 300.0,
+    }
+    for warmup, measurement in [(10_000.0, 20_000.0), (5_000.0, None), (5_000.0, 20_000.0)]:
+        scenario = _continuous_scenario(load=0.3, warmup_ns=warmup, measurement_ns=measurement)
+        store.record(scenario, metrics)
+    rows = loadcurve_rows(store, "shift")
+    assert [row["window_ns"] for row in rows] == ["5000+20000", "5000+", "10000+20000"]
