@@ -329,6 +329,18 @@ def _given(args: argparse.Namespace, axes: Sequence[str]) -> dict:
     return {axis: value for axis in axes if (value := getattr(args, axis, None)) is not None}
 
 
+def _with_overrides(scenarios: List[Scenario], overrides: dict) -> Optional[List[Scenario]]:
+    """``scenarios`` with ``overrides`` applied (``Scenario.with_updates``), or
+    ``None`` after printing why a value was rejected."""
+    if not overrides:
+        return scenarios
+    try:
+        return [scenario.with_updates(**overrides) for scenario in scenarios]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _dump_and_report(path: str, scenarios: List[Scenario]) -> int:
     dump_scenarios(path, scenarios)
     label = scenarios[0].name if len(scenarios) == 1 else f"{len(scenarios)} scenarios"
@@ -348,20 +360,23 @@ def _run_sweep(args: argparse.Namespace) -> int:
         seeds = [args.seed]
     else:
         seeds = None  # keep the base seed
-    if hasattr(args, "scale"):
-        bases = [base.with_updates(scale=args.scale) for base in bases]
+    overrides = _given(args, ("scale",))
     if args.warmup is not None or args.measurement is not None:
-        bases = [
-            base.with_updates(warmup_ns=args.warmup, measurement_ns=args.measurement)
-            for base in bases
-        ]
+        overrides.update(warmup_ns=args.warmup, measurement_ns=args.measurement)
+    bases = _with_overrides(bases, overrides)
+    if bases is None:
+        return 2
     # Only the axes the user actually passed are expanded; everything else
     # keeps the base scenario's value.
-    grid = expand_grid(
-        bases, routings=args.routings, placements=args.placements, seeds=seeds,
-        start_times=args.start_times, offered_loads=args.offered_loads,
-        fidelities=args.fidelities,
-    )
+    try:
+        grid = expand_grid(
+            bases, routings=args.routings, placements=args.placements, seeds=seeds,
+            start_times=args.start_times, offered_loads=args.offered_loads,
+            fidelities=args.fidelities,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     columns = ["scenario", "jobs", "routing", "placement", "seed",
                "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
 
@@ -404,11 +419,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_run(args: argparse.Namespace) -> int:
     scenarios = _resolve_scenarios([args.scenario])
+    if scenarios is not None:
+        scenarios = _with_overrides(scenarios, _given(args, _SCENARIO_AXES))
     if scenarios is None:
         return 2
-    overrides = _given(args, _SCENARIO_AXES)
-    if overrides:
-        scenarios = [scenario.with_updates(**overrides) for scenario in scenarios]
     dump = _dump_path(args)
     if dump:
         return _dump_and_report(dump, scenarios)
@@ -471,8 +485,10 @@ def _run_trace_record(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    overrides = _given(args, _SCENARIO_AXES)
-    scenario = scenarios[0].with_updates(**overrides) if overrides else scenarios[0]
+    scenarios = _with_overrides(scenarios, _given(args, _SCENARIO_AXES))
+    if scenarios is None:
+        return 2
+    scenario = scenarios[0]
     _, traces = record_scenario(scenario)
     if args.job is not None:
         if args.job not in traces:

@@ -151,10 +151,12 @@ class AppSpec:
     :class:`~repro.config.RoutingConfig`: the application name is resolved
     against the workload registry (and canonicalized), ``num_ranks`` must be
     a positive integer, ``kwargs`` must only contain keywords the
-    application's constructor accepts, and ``start_time`` — the simulated
-    time (ns) at which the job's ranks begin executing — must be finite and
-    non-negative.  A bad spec therefore fails where the experiment is
-    *described*, with the offending job named, rather than inside a worker.
+    application's constructor accepts (a ``scale`` or ``offered_load`` among
+    them must pass the workloads' own rules), and ``start_time`` — the
+    simulated time (ns) at which the job's ranks begin executing — must be
+    finite and non-negative.  A bad spec therefore fails where the
+    experiment is *described*, with the offending job named, rather than
+    inside a worker.
     """
 
     name: str
@@ -165,6 +167,8 @@ class AppSpec:
 
     def __post_init__(self) -> None:
         from repro.workloads import application_kwargs, resolve_application
+        from repro.workloads.base import check_scale
+        from repro.workloads.synthetic import check_offered_load
 
         if not isinstance(self.name, str):
             raise ValueError(f"job name must be a string, got {self.name!r}")
@@ -190,6 +194,15 @@ class AppSpec:
                     f"job {self.name!r} does not accept kwargs {unknown}; "
                     f"valid kwargs: {sorted(accepted)}"
                 )
+        # The workloads' own construction rules, applied here so a bad value
+        # fails with the job named rather than inside a run.
+        try:
+            if "scale" in self.kwargs:
+                check_scale(self.kwargs["scale"])
+            if "offered_load" in self.kwargs:
+                check_offered_load(self.kwargs["offered_load"])
+        except ValueError as exc:
+            raise ValueError(f"job {self.name!r}: {exc}") from None
         seed = self.kwargs.get("seed")
         if seed is not None and (
             isinstance(seed, bool) or not isinstance(seed, int) or seed < 0

@@ -1,7 +1,7 @@
 """Credit bookkeeping.
 
 Routers are input-queued: each input port owns one FIFO per virtual channel
-(VC), held by the router itself (``Router.queues``).  Credit-based flow
+(VC), a list held by the router itself (``Router.queues``).  Credit-based flow
 control mirrors those buffers on the *downstream* side of every link: the
 upstream entity holds a credit counter per (output port, VC) initialized to
 the downstream buffer depth, decrements it when it forwards a packet and
@@ -10,8 +10,7 @@ increments it when the downstream entity frees the slot.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.engine import Simulator
 
@@ -40,9 +39,9 @@ class CreditTracker:
         self._credits = [initial_credits] * num_vcs
         self._used = 0
         #: Credits in flight, in key order: ``(time, seq, vc)`` reserved
-        #: slots.  Allocated on first use — most trackers of a large system
-        #: never see a credit in flight at once.
-        self._pending: Optional[Deque[Tuple[float, int, int]]] = None
+        #: slots, at most one port's credits.  Allocated on first use — most
+        #: trackers of a large system never see a credit in flight at once.
+        self._pending: Optional[List[Tuple[float, int, int]]] = None
         #: Time of the earliest in-flight credit (infinity when none).
         self._due = _INF
 
@@ -61,7 +60,7 @@ class CreditTracker:
                 break
             if credits[vc] >= self.initial:
                 self.release(vc)  # raises the overflow error
-            pending.popleft()
+            del pending[0]
             credits[vc] += 1
             self._used -= 1
         self._due = due
@@ -104,7 +103,7 @@ class CreditTracker:
         """
         pending = self._pending
         if pending is None:
-            pending = self._pending = deque()
+            pending = self._pending = []
         if not pending:
             self._due = time
         pending.append((time, seq, vc))

@@ -62,7 +62,8 @@ class Nic:
         self.in_link: Optional[Link] = None
         #: Credits for the router-side terminal input buffer.
         self.credits = CreditTracker(sim, config.system.num_vcs, config.system.buffer_packets)
-        #: Packets segmented from messages, waiting to enter the network.
+        #: Packets segmented from messages, waiting to enter the network.  A
+        #: deque, unlike the router FIFOs: a message makes it unbounded.
         self.injection_queue: Deque[Packet] = deque()
         #: Called with a fully-reassembled :class:`Message` on delivery.
         self.on_message_delivered: Optional[Callable[[Message], None]] = None

@@ -2,7 +2,7 @@
 
 The router model mirrors the paper's SST/Merlin configuration:
 
-* one input buffer per (port, VC), ``buffer_packets`` deep;
+* one input FIFO per (port, VC), a plain list ``buffer_packets`` deep;
 * one output link per port, serializing one packet at a time;
 * credit-based flow control towards every downstream buffer;
 * round-robin arbitration among input (port, VC) pairs contending for the
@@ -16,8 +16,7 @@ The router model mirrors the paper's SST/Merlin configuration:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.engine import Simulator
@@ -98,8 +97,9 @@ class Router:
         self._capacity = system.buffer_packets
 
         #: Input FIFOs: ``queues[port][vc]``, each ``buffer_packets`` deep.
-        self.queues: List[List[Deque[Packet]]] = [
-            [deque() for _ in range(self.num_vcs)] for _ in range(self.num_ports)
+        #: Lists, not deques: as fast this short, and 56 B empty against 760 B.
+        self.queues: List[List[List[Packet]]] = [
+            [[] for _ in range(self.num_vcs)] for _ in range(self.num_ports)
         ]
         #: Link delivering packets *into* each input port (None until wired).
         self.in_links: List[Optional[Link]] = [None] * self.num_ports
@@ -111,9 +111,7 @@ class Router:
             for _ in range(self.num_ports)
         ]
         #: (input port, vc) pairs whose head packet wants each output port.
-        self.out_requests: List[Deque[Tuple[int, int]]] = [
-            deque() for _ in range(self.num_ports)
-        ]
+        self.out_requests: List[List[Tuple[int, int]]] = [[] for _ in range(self.num_ports)]
 
     # ------------------------------------------------------------- wiring
     def attach_output_link(self, port: int, link: Link) -> None:
@@ -128,7 +126,7 @@ class Router:
             raise RuntimeError(f"router {self.router_id} port {port} already has an input link")
         self.in_links[port] = link
 
-    def output_state(self, port: int) -> Tuple[CreditTracker, Deque[Tuple[int, int]]]:
+    def output_state(self, port: int) -> Tuple[CreditTracker, List[Tuple[int, int]]]:
         """Credits and waiting requests of output ``port`` (for its link)."""
         return self.credits[port], self.out_requests[port]
 
@@ -227,12 +225,12 @@ class Router:
             in_port, vc = requests[0]
             packet = queues[in_port][vc][0]
             if available[packet.next_vc] > 0:
-                requests.popleft()
+                del requests[0]
                 self._grant(in_port, vc, packet, link, credits)
                 return
-            # Head-of-line packet cannot advance on its VC: rotate so other
-            # inputs contending for this port still make progress.
-            requests.rotate(-1)
+            # Head-of-line packet cannot advance on its VC: move it to the
+            # back so other inputs contending for this port still progress.
+            requests.append(requests.pop(0))
         link.wake_on_credits()
 
     link_free = _try_output
@@ -253,7 +251,7 @@ class Router:
         available[next_vc] -= 1
         credits._used += 1
         queue = self.queues[in_port][vc]
-        queue.popleft()
+        del queue[0]
 
         stats = self.stats
         if stats is not None:

@@ -10,6 +10,7 @@ which back the Table I metrics and let tests validate the measured numbers.
 from __future__ import annotations
 
 import abc
+import numbers
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - engine imports workloads at runtime
     from repro.mpi.engine import RankContext, RankOp
@@ -17,7 +18,25 @@ if TYPE_CHECKING:  # pragma: no cover - engine imports workloads at runtime
 
 import numpy as np
 
-__all__ = ["Application", "balanced_grid", "grid_coords", "grid_rank", "neighbors_nd"]
+__all__ = [
+    "Application",
+    "balanced_grid",
+    "check_scale",
+    "grid_coords",
+    "grid_rank",
+    "neighbors_nd",
+]
+
+
+def check_scale(scale: float) -> None:
+    """Reject a message-volume ``scale`` that is not a positive number.
+
+    Every application applies this rule at construction, and
+    :class:`~repro.experiments.configs.AppSpec` applies it when a job is
+    described.
+    """
+    if not isinstance(scale, numbers.Real) or not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
 
 
 # ------------------------------------------------------------------- grids
@@ -122,8 +141,7 @@ class Application(abc.ABC):
             raise ValueError("an application needs at least one rank")
         if iterations < 1:
             raise ValueError("iterations must be positive")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        check_scale(scale)
         self.num_ranks = num_ranks
         self.iterations = iterations
         self.scale = float(scale)

@@ -35,6 +35,7 @@ config's warmup/measurement window rather than by rank completion (see
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - engine imports workloads at runtime
@@ -54,7 +55,24 @@ __all__ = [
     "Shift",
     "SyntheticPattern",
     "Transpose",
+    "check_offered_load",
 ]
+
+
+def check_offered_load(offered_load: Optional[float]) -> None:
+    """Reject an ``offered_load`` that is neither ``None`` nor a fraction in (0, 1].
+
+    Every synthetic pattern applies this rule at construction, and
+    :class:`~repro.experiments.configs.AppSpec` applies it when a job is
+    described.
+    """
+    if offered_load is not None and not (
+        isinstance(offered_load, numbers.Real) and 0.0 < offered_load <= 1.0
+    ):
+        raise ValueError(
+            f"offered_load must be in (0, 1] (a fraction of the terminal "
+            f"link bandwidth), got {offered_load!r}"
+        )
 
 
 class ContinuousInjection:
@@ -141,11 +159,7 @@ class SyntheticPattern(Application):
         super().__init__(num_ranks, iterations=iterations, scale=scale, seed=seed)
         if message_bytes < 1:
             raise ValueError("message size must be positive")
-        if offered_load is not None and not 0.0 < float(offered_load) <= 1.0:
-            raise ValueError(
-                f"offered_load must be in (0, 1] (a fraction of the terminal "
-                f"link bandwidth), got {offered_load!r}"
-            )
+        check_offered_load(offered_load)
         self.message_bytes = message_bytes
         self.compute_ns = float(compute_ns)
         #: When set, the pattern runs in :class:`ContinuousInjection` mode:

@@ -1,11 +1,17 @@
-"""Memory guard: what one more rank costs at flow fidelity.
+"""Memory guards: what one more rank costs at flow fidelity, and what one
+more router port costs at packet fidelity.
 
 Past the packet model's 1,056 nodes a run's memory is per-rank and
 per-message bookkeeping (MPI requests and waits, envelopes, flows and the
-links they cross), so the guard measures it per rank: the difference in
+links they cross), so the flow guard measures it per rank: the difference in
 tracemalloc peak between a 2,000-rank and a 4,000-rank contiguous, minimal
 flow shift on one 8,400-node system.  Everything that does not grow with
 the rank count (topology tables, imports) cancels out.
+
+A packet network's memory before any traffic is its per-port state (input
+FIFOs, credit trackers, links), so the packet guard measures the difference
+in tracemalloc peak between building a 17x8x4 and the paper's 33x8x4
+network, per router port.
 """
 
 import gc
@@ -13,9 +19,11 @@ import tracemalloc
 
 import pytest
 
-from repro.config import SimulationConfig, SystemConfig
+from repro.config import SimulationConfig, SystemConfig, paper_system
+from repro.core.engine import Simulator
 from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import Scenario
+from repro.network.network import DragonflyNetwork
 
 #: Measured on CPython 3.11 (x86-64): 4,785 B/rank with a closure per wait,
 #: a dict per flow link and a dict payload per message; 2,787 B/rank with a
@@ -48,3 +56,34 @@ def test_flow_shift_bytes_per_rank_stay_bounded():
     _traced_peak(200)  # first-run imports and caches stay out of the difference
     per_rank = (_traced_peak(4_000) - _traced_peak(2_000)) / 2_000
     assert 0 < per_rank <= MAX_BYTES_PER_RANK, f"{per_rank:.0f} B per rank"
+
+
+#: Measured on CPython 3.11 (x86-64): 7,957 B/port with one deque per
+#: (port, VC) input FIFO and per output port's request queue (760 B each,
+#: empty); 1,621 B/port with lists (56 B empty).  The bound sits between.
+MAX_BYTES_PER_ROUTER_PORT = 3_000
+
+
+def _network_peak(system: SystemConfig):
+    """Tracemalloc peak of building the packet network, and its router ports."""
+    config = SimulationConfig(system=system, seed=11)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        topology = DragonflyNetwork(Simulator(), config).topology
+        ports = topology.num_routers * topology.ports_per_router
+        return tracemalloc.get_traced_memory()[1], ports
+    finally:
+        tracemalloc.stop()
+
+
+def test_packet_network_bytes_per_router_port_stay_bounded():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    _network_peak(SystemConfig(num_groups=5, routers_per_group=4, nodes_per_router=2))
+    small, small_ports = _network_peak(
+        SystemConfig(num_groups=17, routers_per_group=8, nodes_per_router=4)
+    )
+    paper, paper_ports = _network_peak(paper_system())
+    per_port = (paper - small) / (paper_ports - small_ports)
+    assert 0 < per_port <= MAX_BYTES_PER_ROUTER_PORT, f"{per_port:.0f} B per router port"

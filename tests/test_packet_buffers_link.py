@@ -311,6 +311,32 @@ def test_router_fifo_order_and_capacity():
     assert router.buffered_packets == 0
 
 
+def test_arbitration_skips_a_head_without_credit_and_moves_it_to_the_back():
+    sim, topology, router = _router()
+    blocked, first, second = _packets_to(topology, 0, 3)
+    out_port = topology.terminal_port_of_node_table[blocked.dst_node]
+    # Three inputs request one unwired output, in this order.
+    for in_port, packet in zip((2, 3, 4), (blocked, first, second)):
+        router.receive_packet(in_port, packet)
+    assert list(router.out_requests[out_port]) == [(2, 0), (3, 0), (4, 0)]
+    # The first head wants a VC with no credit left downstream.
+    blocked.next_vc = 1
+    credits = router.credits[out_port]
+    while credits.has_credit(1):
+        credits.consume(1)
+
+    sink = _Sink(sim)
+    link = Link(sim, router, out_port, sink, 0, LinkKind.TERMINAL, 25.0, 10.0, 128)
+    router.attach_output_link(out_port, link)
+    router.link_free(out_port)
+    assert not sink.received and link.busy
+    assert list(router.out_requests[out_port]) == [(4, 0), (2, 0)]
+    sim.run()
+    assert [packet for _, packet in sink.received] == [first, second]
+    assert list(router.out_requests[out_port]) == [(2, 0)]
+    assert list(router.queues[2][0]) == [blocked]
+
+
 def test_grant_without_credit_raises_underflow():
     sim, topology, router = _router()
     packet = _packets_to(topology, 0, 1)[0]

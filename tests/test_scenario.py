@@ -16,6 +16,7 @@ from repro.experiments.scenario import (
     expand_grid,
     get_scenario,
     load_scenarios,
+    loadcurve_scenario,
     mixed_scenario,
     pairwise_scenario,
     register_scenario,
@@ -25,7 +26,7 @@ from repro.experiments.scenario import (
 )
 from repro.experiments.sweep import run_sweep
 from repro.results import flatten_run
-from repro.workloads import resolve_application
+from repro.workloads import UniformRandom, resolve_application
 
 
 def _tiny_scenario(**overrides) -> Scenario:
@@ -158,6 +159,47 @@ def test_scenario_validates_names_against_registries_at_parse_time():
         _tiny_scenario(jobs=(AppSpec("UR", 4, {}), AppSpec("UR", 4, {})))
     with pytest.raises(ValueError):  # empty job list
         _tiny_scenario(jobs=())
+
+
+def _scenario_dict_with_scale(scale):
+    data = json.loads(_tiny_scenario().to_json())
+    data["jobs"][1]["kwargs"]["scale"] = scale
+    return data
+
+
+#: Ways of describing a job with a bad ``scale`` or ``offered_load``, and the
+#: job the error must name.
+BAD_VOLUME_DESCRIPTIONS = {
+    "AppSpec scale=0": (lambda: AppSpec("UR", 4, {"scale": 0}), "UR"),
+    "AppSpec scale=-1": (lambda: AppSpec("LU", 4, {"scale": -1.0}), "LU"),
+    "AppSpec scale=nan": (lambda: AppSpec("UR", 4, {"scale": float("nan")}), "UR"),
+    "AppSpec scale='big'": (lambda: AppSpec("UR", 4, {"scale": "big"}), "UR"),
+    "with_updates scale=0": (lambda: _tiny_scenario().with_updates(scale=0), "FFT3D"),
+    "from_dict scale=0": (lambda: Scenario.from_dict(_scenario_dict_with_scale(0)), "Halo3D"),
+    "loadcurve offered_load=1.5": (
+        lambda: loadcurve_scenario("shift", offered_load=1.5), "shift"
+    ),
+    "AppSpec offered_load=0": (lambda: AppSpec("hotspot", 8, {"offered_load": 0.0}), "hotspot"),
+    "with_updates offered_load=2": (
+        lambda: get_scenario("synthetic/shift").with_updates(offered_load=2.0), "shift"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "describe,job", BAD_VOLUME_DESCRIPTIONS.values(), ids=list(BAD_VOLUME_DESCRIPTIONS)
+)
+def test_bad_scale_or_offered_load_is_rejected_where_the_job_is_described(describe, job):
+    with pytest.raises(ValueError, match=rf"job '{job}': (scale|offered_load) must be"):
+        describe()
+
+
+def test_appspec_applies_the_workloads_own_scale_rule():
+    with pytest.raises(ValueError) as built:
+        UniformRandom(4, scale=0)
+    with pytest.raises(ValueError) as described:
+        AppSpec("UR", 4, {"scale": 0})
+    assert str(described.value) == f"job 'UR': {built.value}"
 
 
 def test_scenario_canonicalizes_job_and_placement_names():
@@ -707,3 +749,21 @@ def test_cli_glob_matching_nothing_exits_2_naming_the_library(tmp_path, capsys):
 def test_cli_trace_record_refuses_a_family(tmp_path, capsys):
     assert main(["trace", "record", "table1/*", "-o", str(tmp_path)]) == 2
     assert "records one at a time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "table1/UR", "--scale", "0"],
+        ["sweep", "--scenario", "table1/UR", "--scale", "0", "--store", ""],
+        ["sweep", "--scenario", "synthetic/shift", "--offered-loads", "1.5", "--store", ""],
+        ["trace", "record", "table1/UR", "--scale", "-1", "-o", "{tmp}"],
+    ],
+    ids=["run", "sweep-scale", "sweep-offered-load", "trace-record"],
+)
+def test_cli_rejects_a_bad_scale_or_offered_load_before_simulating(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: job '"), captured.err
+    assert "must be" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
