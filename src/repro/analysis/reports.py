@@ -10,7 +10,9 @@ Two kinds of entry point live here:
   :func:`synthetic_rows` and :func:`loadcurve_rows` read a populated
   :class:`~repro.results.ResultStore` and rebuild the paper's tables
   **without launching a single simulation**.  Each takes the store, its
-  positional argument and the filters of :meth:`ResultStore.runs`.
+  positional argument and the filters of :meth:`ResultStore.runs`, and
+  reads every run it needs in one :meth:`ResultStore.runs` call (two SQL
+  statements), splitting families apart in Python.
   :func:`build_report` looks a report name up in one table of report kinds
   and backs the ``dragonfly-sim report`` subcommand (see docs/results.md).
 """
@@ -22,7 +24,14 @@ import io
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.interference import InterferenceSummary
-from repro.results import ResultStore, StoredResult, ensure_comparable, ensure_uniform, mean_metric
+from repro.results import (
+    ResultStore,
+    StoredResult,
+    ensure_comparable,
+    ensure_uniform,
+    filter_runs,
+    mean_metric,
+)
 from repro.workloads import (
     APPLICATIONS,
     ML_COLLECTIVES,
@@ -159,24 +168,26 @@ def _format_cell(value: object) -> str:
 
 # ------------------------------------------------------- shared row pieces
 def _family(
-    store: ResultStore,
+    runs: Sequence[StoredResult],
     name: str,
     routings: Optional[Sequence[str]] = None,
     populate: str = "",
     label: Optional[str] = None,
-    **filters: Any,
 ) -> Dict[str, List[StoredResult]]:
-    """Stored runs of scenario family ``name``, grouped by routing.
+    """The ``runs`` of scenario family ``name``, grouped by routing.
 
-    With ``routings=None`` the groups are the routings present, sorted, and
-    a family with no matching run raises ``ValueError`` telling the user to
-    populate the store with ``populate`` (``label`` is how the message
-    spells ``name``).  With explicit ``routings`` the groups are exactly
-    those routings, possibly empty, so the caller can name the missing one.
+    A family is the runs named ``name`` or a grid expansion ``name[...]``
+    (as :meth:`ResultStore.runs_named`).  With ``routings=None`` the groups
+    are the routings present, sorted, and a family with no matching run
+    raises ``ValueError`` telling the user to populate the store with
+    ``populate`` (``label`` is how the message spells ``name``).  With
+    explicit ``routings`` the groups are exactly those routings, possibly
+    empty, so the caller can name the missing one.
     """
     groups: Dict[str, List[StoredResult]] = {}
-    for run in store.runs_named(name, **filters):
-        groups.setdefault(run.routing, []).append(run)
+    for run in runs:
+        if run.name == name or run.name.startswith(name + "["):
+            groups.setdefault(run.routing, []).append(run)
     if routings is not None:
         return {routing: groups.get(routing, []) for routing in routings}
     if not groups:
@@ -184,6 +195,29 @@ def _family(
             f"no stored {label or name} runs; populate the store with {populate}"
         )
     return dict(sorted(groups.items()))
+
+
+def _corun_and_baseline_runs(
+    store: ResultStore,
+    prefix: str,
+    filters: Dict[str, Any],
+    routings: Optional[Sequence[str]] = None,
+) -> Tuple[List[StoredResult], List[StoredResult]]:
+    """Stored runs named ``prefix...``, read once and narrowed two ways.
+
+    The first list matches every filter: the co-run families.  The second
+    is the baselines' view: ``start_time`` and ``knobs`` narrow a co-run to
+    one arrival stagger or knob cell, but its baseline is always the
+    simultaneous-arrival standalone run (a standalone job delayed into an
+    empty network is the same experiment shifted in time).  One requested
+    routing narrows the query itself, so other routings' runs are not read.
+    """
+    shared = {key: value for key, value in filters.items() if key not in ("start_time", "knobs")}
+    if routings is not None and len(routings) == 1 and shared.get("routing") is None:
+        shared["routing"] = routings[0]
+    runs = store.runs(name_prefix=prefix, **shared)
+    corun = filter_runs(runs, start_time=filters.get("start_time"), knobs=filters.get("knobs"))
+    return corun, filter_runs(runs, start_time=0.0)
 
 
 def _intensity_row(
@@ -209,7 +243,9 @@ def _standalone_rows(
     """One Table I row per routing for the standalone family ``name``."""
     return [
         {"routing": routing, **_intensity_row(runs, name, pattern, app, job)}
-        for routing, runs in _family(store, name, populate=populate, **filters).items()
+        for routing, runs in _family(
+            store.runs(name_prefix=name, **filters), name, populate=populate
+        ).items()
     ]
 
 
@@ -332,21 +368,30 @@ def comparison_rows(
     PATH``).
     """
     target = resolve_application(target)
+    corun, baseline = _corun_and_baseline_runs(store, f"pairwise/{target}", filters, routings)
+    return _comparison(corun, baseline, target, background, routings)
+
+
+def _comparison(
+    corun: Sequence[StoredResult],
+    baseline_runs: Sequence[StoredResult],
+    target: str,
+    background: Optional[str],
+    routings: Optional[Sequence[str]],
+) -> List[dict]:
+    """:func:`comparison_rows` over the runs of ``pairwise/<target>...``
+    already read and narrowed by :func:`_corun_and_baseline_runs`."""
     background = resolve_application(background) if background else None
     base_name = f"pairwise/{target}"
     pair_name = f"pairwise/{target}+{background}" if background else base_name
     populate = f"'dragonfly-sim sweep --scenario {pair_name} --store PATH'" + (
         f" (and --scenario {base_name} for the baseline)" if background else ""
     )
-    pairs = _family(
-        store, pair_name, routings, populate=populate, label=repr(pair_name), **filters
-    )
+    pairs = _family(corun, pair_name, routings, populate=populate, label=repr(pair_name))
     # Fidelity, like every other filter, narrows both families: comparing a
     # flow-level co-run against a packet-level baseline would mix
     # approximations (docs/fidelity.md).
-    bases = pairs if background is None else _family(
-        store, base_name, list(pairs), **{**filters, "start_time": 0.0, "knobs": None}
-    )
+    bases = pairs if background is None else _family(baseline_runs, base_name, list(pairs))
     rows = []
     for routing, interfered in pairs.items():
         baseline = bases[routing]
@@ -384,12 +429,12 @@ def mixed_rows_from_store(
     :func:`~repro.experiments.scenario.mixed_solo_scenarios`).
     """
     populate = f"'dragonfly-sim sweep --scenario {MIXED_SCENARIO_NAME} --store PATH'"
-    mixes = _family(
-        store, MIXED_SCENARIO_NAME, populate=populate, label=repr(MIXED_SCENARIO_NAME), **filters
-    )
     # start_time/knobs narrow the mix; the solo baselines are always the
     # simultaneous-arrival standalone runs (as in comparison_rows).
-    solo_filters = {**filters, "start_time": 0.0, "knobs": None}
+    # Every routing is read: which message a missing mix gets depends on
+    # whether the store holds it under another routing.
+    corun, baseline = _corun_and_baseline_runs(store, "mixed/", filters)
+    mixes = _family(corun, MIXED_SCENARIO_NAME, populate=populate, label=repr(MIXED_SCENARIO_NAME))
     rows = []
     for routing in mixes if routings is None else routings:
         mixed = mixes.get(routing)
@@ -400,7 +445,7 @@ def mixed_rows_from_store(
         ensure_uniform(mixed, MIXED_SCENARIO_NAME)
         for app in mixed[0].jobs:
             solo_name = MIXED_SOLO_PREFIX + app
-            solos = _family(store, solo_name, [routing], **solo_filters)[routing]
+            solos = _family(baseline, solo_name, [routing])[routing]
             if not solos:
                 raise ValueError(
                     f"no stored {solo_name!r} baseline under routing {routing!r}; populate "
@@ -429,12 +474,12 @@ def synthetic_rows(
     traffic pattern slows the target down, side by side.
     """
     target = resolve_application(target)
-    # One prefix query discovers every stored background family; the names
-    # are either "pairwise/<T>+<p>" or a grid expansion "...[axis,...]".
+    corun, baseline = _corun_and_baseline_runs(store, f"pairwise/{target}", filters)
+    # The stored background families are named either "pairwise/<T>+<p>"
+    # or a grid expansion "...[axis,...]".
     prefix = f"pairwise/{target}+"
     present = {
-        run.name[len(prefix):].partition("[")[0]
-        for run in store.runs(name_prefix=prefix, **filters)
+        run.name[len(prefix):].partition("[")[0] for run in corun if run.name.startswith(prefix)
     }
     found = [pattern for pattern in sorted(SYNTHETIC_PATTERNS) if pattern in present]
     if not found:
@@ -446,7 +491,7 @@ def synthetic_rows(
         )
     rows: List[dict] = []
     for pattern in found:
-        rows.extend(comparison_rows(store, target, pattern, routings, **filters))
+        rows.extend(_comparison(corun, baseline, target, pattern, routings))
     rows.sort(key=lambda row: (row["background"], row["routing"]))
     return rows
 
@@ -484,7 +529,8 @@ def loadcurve_rows(
         f"--offered-loads 0.1 0.4 0.7 --store PATH'"
     )
     groups: Dict[tuple, list] = {}
-    for routing, runs in _family(store, name, routings, populate=populate, **filters).items():
+    family = _family(store.runs(name_prefix=name, **filters), name, routings, populate=populate)
+    for routing, runs in family.items():
         for run in runs:
             loads = {load for load in run.job_offered_loads() if load is not None}
             if len(loads) != 1:

@@ -75,6 +75,7 @@ __all__ = [
     "pairwise_scenario",
     "register_scenario",
     "scenario_hash",
+    "scenario_key",
     "scenario_names",
     "synthetic_scenario",
     "table1_scenario",
@@ -91,6 +92,11 @@ CACHE_VERSION = 2
 _SIM_KNOBS: Tuple[str, ...] = tuple(
     sorted(f.name for f in fields(SimulationConfig) if f.name not in ("system", "routing"))
 )
+
+#: Field names of the ``"system"`` and ``"routing"`` sections, in
+#: declaration order (resolved once: ``to_dict`` runs on every hash).
+_SYSTEM_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(SystemConfig))
+_ROUTING_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(RoutingConfig))
 
 #: Sim knobs serialized **only when non-default**.  These fields were added
 #: after scenarios were first hashed; omitting them at their default value
@@ -262,8 +268,8 @@ class Scenario:
         config = self.config
         return {
             "name": self.name,
-            "system": {f.name: getattr(config.system, f.name) for f in fields(SystemConfig)},
-            "routing": {f.name: getattr(config.routing, f.name) for f in fields(RoutingConfig)},
+            "system": {name: getattr(config.system, name) for name in _SYSTEM_FIELDS},
+            "routing": {name: getattr(config.routing, name) for name in _ROUTING_FIELDS},
             "sim": {
                 knob: getattr(config, knob)
                 for knob in _SIM_KNOBS
@@ -444,6 +450,19 @@ class Scenario:
         return _execute(self, require_completion, recorder=recorder)
 
 
+def scenario_key(scenario: Scenario) -> Tuple[str, str]:
+    """``(scenario_hash, canonical JSON)`` of ``scenario`` from one serialization.
+
+    The hash is the sha256 of ``{"scenario":<canonical>,"version":N}`` — the
+    canonical form of that two-key document, spliced together instead of
+    serialized twice, so it is byte-identical to dumping the document.  The
+    result store keys rows on the hash and compares the canonical text.
+    """
+    canonical = scenario.canonical_json()
+    blob = f'{{"scenario":{canonical},"version":{CACHE_VERSION:d}}}'
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24], canonical
+
+
 def scenario_hash(scenario: Scenario) -> str:
     """Stable cache key: sha256 over the canonically-serialized scenario.
 
@@ -451,9 +470,7 @@ def scenario_hash(scenario: Scenario) -> str:
     plus :data:`CACHE_VERSION`, so equal scenarios share one cache entry and
     any change to the simulation description invalidates old entries.
     """
-    payload = {"version": CACHE_VERSION, "scenario": scenario.to_dict()}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+    return scenario_key(scenario)[0]
 
 
 # -------------------------------------------------------------------- grids

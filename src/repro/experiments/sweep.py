@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.scenario import CACHE_VERSION, Scenario, expand_grid
-from repro.results import ResultStore, flatten_run
+from repro.results import ResultStore, StoredResult, flatten_run
 
 __all__ = [
     "CACHE_VERSION",
@@ -208,22 +208,24 @@ def run_sweep(
 
         pending: List[int] = []
         done = 0
-        for index, scenario in enumerate(cells):
-            if cache is not None:
-                stored = cache.get(scenario)
-                if stored is not None:
-                    hit = SweepResult(
-                        metrics=dict(stored.metrics),
-                        wall_seconds=stored.wall_seconds,
-                        cached=True,
-                        scenario=scenario,
-                    )
-                    finish(index, hit, record=False)
-                    done += 1
-                    if progress is not None:
-                        progress(done, len(cells), hit)
-                    continue
-            pending.append(index)
+        # One store lookup for the whole grid, not one per cell.
+        lookup: List[Optional[StoredResult]] = (
+            cache.get_many(cells) if cache is not None else [None] * len(cells)
+        )
+        for index, (scenario, stored) in enumerate(zip(cells, lookup)):
+            if stored is None:
+                pending.append(index)
+                continue
+            hit = SweepResult(
+                metrics=dict(stored.metrics),
+                wall_seconds=stored.wall_seconds,
+                cached=True,
+                scenario=scenario,
+            )
+            finish(index, hit, record=False)
+            done += 1
+            if progress is not None:
+                progress(done, len(cells), hit)
 
         if pending:
             workers = max(1, min(workers, len(pending), os.cpu_count() or 1))

@@ -22,6 +22,7 @@ from repro.results.store import (
     StoredResult,
     ensure_comparable,
     ensure_uniform,
+    filter_runs,
     mean_metric,
 )
 
@@ -32,6 +33,7 @@ __all__ = [
     "StoredResult",
     "ensure_comparable",
     "ensure_uniform",
+    "filter_runs",
     "flatten_run",
     "join_metric",
     "mean_metric",

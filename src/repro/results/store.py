@@ -14,6 +14,14 @@ Design:
   placement, seed).  The stored scenario is compared against the requested
   one on every read, so a hash collision or stale layout degrades to a cache
   miss, never to wrong numbers.
+* **Reads take a constant number of statements.**
+  :meth:`ResultStore.get_many` looks a whole grid up with one ``runs`` and
+  one ``metrics`` statement per 500 distinct hashes (``get`` is its
+  one-cell case); a stored text equal to the canonical JSON hits without a
+  parse, any other text only if it parses to the same scenario.
+  :meth:`ResultStore.runs` is one statement on each table, so a report that
+  reads its families under one name prefix costs two statements.  Nothing
+  read is cached between calls.
 * **Flat metric rows** in ``metrics`` — ``(scenario_hash, app, metric,
   value)`` with ``app = ''`` for scenario-level metrics — produced by
   :func:`repro.results.schema.flatten_run`.  The ``value`` column is
@@ -36,16 +44,17 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.experiments.runner import RunResult
 
 import numpy as np
 
-from repro.experiments.scenario import CACHE_VERSION, Scenario, scenario_hash
-from repro.results.schema import join_metric, split_metric
+from repro.experiments.scenario import CACHE_VERSION, Scenario, scenario_key
+from repro.results.schema import METRIC_SEP, join_metric, split_metric
 
 __all__ = [
     "ResultStore",
@@ -53,6 +62,7 @@ __all__ = [
     "DEFAULT_STORE_PATH",
     "ensure_comparable",
     "ensure_uniform",
+    "filter_runs",
     "mean_metric",
 ]
 
@@ -221,7 +231,12 @@ CREATE TABLE IF NOT EXISTS metrics (
 
 @dataclass(frozen=True)
 class StoredResult:
-    """One run read back from the store: identity axes + flat metrics."""
+    """One run read back from the store: identity axes + flat metrics.
+
+    ``scenario_json`` is the stored scenario text; :attr:`scenario` parses it
+    on first use, so a reader that needs only the metrics (a warm sweep)
+    never pays for the parse.
+    """
 
     scenario_hash: str
     name: str
@@ -229,10 +244,15 @@ class StoredResult:
     routing: str
     placement: str
     seed: int
-    scenario: dict
+    scenario_json: str
     metrics: Dict[str, float]
     wall_seconds: float
     created_at: str
+
+    @cached_property
+    def scenario(self) -> dict:
+        """The stored scenario description, as a plain dict."""
+        return json.loads(self.scenario_json)
 
     def metric(self, metric: str, app: Optional[str] = None) -> Optional[float]:
         """Value of ``metric`` (optionally per-application), or ``None``."""
@@ -297,6 +317,68 @@ class StoredResult:
 
 def _canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _describes(stored_json: str, canonical: str) -> bool:
+    """Whether a stored scenario document is the scenario whose canonical
+    JSON is ``canonical``: equal text, or text that parses to the same
+    canonical form (the same document spelled differently)."""
+    return stored_json == canonical or _canonical(json.loads(stored_json)) == canonical
+
+
+#: Bound parameters per ``IN (...)`` statement: SQLite caps them (999
+#: historically), so long key lists are read in chunks well below that.
+_IN_CHUNK = 500
+
+#: SQL expression of a metrics row's flat key, :func:`join_metric` in SQL.
+_METRIC_KEY_SQL = f"CASE app WHEN '' THEN metric ELSE metric || '{METRIC_SEP}' || app END"
+
+
+def _chunks(keys: Sequence[str]) -> List[Sequence[str]]:
+    return [keys[start:start + _IN_CHUNK] for start in range(0, len(keys), _IN_CHUNK)]
+
+
+def _marks(chunk: Sequence[str]) -> str:
+    return ",".join("?" * len(chunk))
+
+
+def filter_runs(
+    runs: Iterable[StoredResult],
+    application: Optional[str] = None,
+    scale: Optional[float] = None,
+    start_time: Optional[float] = None,
+    knobs: Optional[Dict[str, Dict[str, object]]] = None,
+    offered_load: Optional[float] = None,
+    fidelity: Optional[str] = None,
+) -> List[StoredResult]:
+    """The ``runs`` matching every given filter (None = wildcard), in order.
+
+    These are the filters of :meth:`ResultStore.runs` that read the stored
+    scenario description rather than an indexed column; a report that reads
+    several families in one query narrows each family with them.
+    """
+    results = list(runs)
+    if application is not None:
+        results = [r for r in results if application in r.jobs]
+    if scale is not None:
+        results = [r for r in results if all(s == scale for s in r.job_scales())]
+    if start_time is not None:
+        results = [r for r in results if max(r.job_start_times()) == start_time]
+    if knobs:
+        results = [r for r in results if _knobs_match(r, knobs)]
+    if offered_load is not None:
+        results = [
+            r
+            for r in results
+            if {load for load in r.job_offered_loads() if load is not None}
+            == {float(offered_load)}
+        ]
+    if fidelity is not None:
+        from repro.flow import resolve_fidelity
+
+        wanted = resolve_fidelity(fidelity)
+        results = [r for r in results if r.fidelity() == wanted]
+    return results
 
 
 def _knobs_match(run: StoredResult, knobs: Dict[str, Dict[str, object]]) -> bool:
@@ -386,14 +468,15 @@ class ResultStore:
         by older code with only coarse metrics — simulating the scenario
         once with the current code backfills the per-application metrics the
         reports need.  The one exception to
-        append-only: a row whose stored scenario JSON no longer matches this
-        scenario's canonical form (a stale serialization under the same
-        hash) is replaced wholesale, so a re-simulated cell heals the store
-        instead of being discarded forever.  Metric keys follow
+        append-only: a row whose stored scenario JSON describes a different
+        scenario (a stale serialization under the same hash) is replaced
+        wholesale, so a re-simulated cell heals the store instead of being
+        discarded forever.  A row that lookups serve — the same document,
+        even if spelled differently — is kept and only backfilled.  Metric
+        keys follow
         :mod:`repro.results.schema`.
         """
-        key = scenario_hash(scenario)
-        canonical = _canonical(scenario.to_dict())
+        key, canonical = scenario_key(scenario)
         # Provenance metadata only: the creation timestamp is never hashed,
         # never keyed on, and never fed back into a simulation.
         # reprolint: disable=REP102 -- wall-clock provenance timestamp
@@ -419,10 +502,10 @@ class ResultStore:
                 stored = self._conn.execute(
                     "SELECT scenario_json FROM runs WHERE scenario_hash = ?", (key,)
                 ).fetchone()
-                if stored is None or stored[0] != canonical:
+                if stored is None or not _describes(stored[0], canonical):
                     # The row under this hash describes a different scenario
-                    # serialization — in practice a stale layout, not a real
-                    # sha256 collision.  Self-heal: the freshly simulated
+                    # — in practice a stale layout, not a real sha256
+                    # collision.  Self-heal: the freshly simulated
                     # result is authoritative, so replace the stale row
                     # wholesale (otherwise get() keeps missing and every
                     # sweep re-simulates this cell forever).
@@ -447,20 +530,36 @@ class ResultStore:
 
     # --------------------------------------------------------------- reading
     def get(self, scenario: Scenario) -> Optional[StoredResult]:
-        """Stored result of ``scenario``, or None.
+        """Stored result of ``scenario``, or None: the one-cell :meth:`get_many`."""
+        return self.get_many([scenario])[0]
 
-        The stored canonical scenario JSON must match the requested one
-        exactly — a hash collision or stale serialization reads as a miss.
+    def get_many(self, scenarios: Sequence[Scenario]) -> List[Optional[StoredResult]]:
+        """Stored result of every scenario, in input order (None = miss).
+
+        One ``runs`` and one ``metrics`` statement per 500 distinct hashes,
+        however many cells the grid has.  The stored scenario JSON must match
+        the requested canonical form: byte-equal text hits without further
+        work, other text is parsed and compared canonically, so an equivalent
+        document still hits while a hash collision or stale serialization
+        reads as a miss.  Duplicate cells share one result.
         """
-        row = self._conn.execute(
-            "SELECT * FROM runs WHERE scenario_hash = ?", (scenario_hash(scenario),)
-        ).fetchone()
-        if row is None:
-            return None
-        stored = self._load(row)
-        if _canonical(stored.scenario) != _canonical(scenario.to_dict()):
-            return None
-        return stored
+        keys = [scenario_key(scenario) for scenario in scenarios]
+        rows: Dict[str, tuple] = {}
+        for chunk in _chunks(list(dict.fromkeys(hash_ for hash_, _ in keys))):
+            rows.update(
+                (row[0], row)
+                for row in self._conn.execute(
+                    f"SELECT * FROM runs WHERE scenario_hash IN ({_marks(chunk)})", chunk
+                )
+            )
+        hits = [
+            hash_ in rows and _describes(rows[hash_][7], canonical)  # 7: scenario_json
+            for hash_, canonical in keys
+        ]
+        hit_hashes = list(dict.fromkeys(hash_ for (hash_, _), hit in zip(keys, hits) if hit))
+        metrics = self._metrics_for(hit_hashes)
+        loaded = {hash_: self._load(rows[hash_], metrics.get(hash_, {})) for hash_ in hit_hashes}
+        return [loaded[hash_] if hit else None for (hash_, _), hit in zip(keys, hits)]
 
     def runs(
         self,
@@ -496,14 +595,15 @@ class ResultStore:
         # Rows written before a CACHE_VERSION bump are orphaned, not served:
         # selecting by name would otherwise blend old-simulator numbers into
         # the reports' cross-seed means.
-        clauses, params = ["cache_version = ?"], [CACHE_VERSION]
+        clauses: List[str] = ["cache_version = ?"]
+        params: List[Any] = [CACHE_VERSION]
         if name is not None:
             clauses.append("name = ?")
             params.append(name)
         if name_prefix is not None:
-            clauses.append("name LIKE ? ESCAPE '\\'")
-            escaped = name_prefix.replace("\\", "\\\\").replace("%", "\\%").replace("_", "\\_")
-            params.append(escaped + "%")
+            # Exact-case prefix match (LIKE would fold ASCII case).
+            clauses.append("substr(name, 1, ?) = ?")
+            params.extend((len(name_prefix), name_prefix))
         if routing is not None:
             clauses.append("routing = ?")
             params.append(routing)
@@ -513,33 +613,19 @@ class ResultStore:
         if seed is not None:
             clauses.append("seed = ?")
             params.append(int(seed))
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
+        query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY name, routing, placement, seed"
         rows = self._conn.execute(query, params).fetchall()
         metrics = self._metrics_for([row[0] for row in rows])
-        results = [self._load(row, metrics.get(row[0], {})) for row in rows]
-        if application is not None:
-            results = [r for r in results if application in r.jobs]
-        if scale is not None:
-            results = [r for r in results if all(s == scale for s in r.job_scales())]
-        if start_time is not None:
-            results = [r for r in results if max(r.job_start_times()) == start_time]
-        if knobs:
-            results = [r for r in results if _knobs_match(r, knobs)]
-        if offered_load is not None:
-            results = [
-                r
-                for r in results
-                if {load for load in r.job_offered_loads() if load is not None}
-                == {float(offered_load)}
-            ]
-        if fidelity is not None:
-            from repro.flow import resolve_fidelity
-
-            wanted = resolve_fidelity(fidelity)
-            results = [r for r in results if r.fidelity() == wanted]
-        return results
+        return filter_runs(
+            [self._load(row, metrics.get(row[0], {})) for row in rows],
+            application=application,
+            scale=scale,
+            start_time=start_time,
+            knobs=knobs,
+            offered_load=offered_load,
+            fidelity=fidelity,
+        )
 
     def runs_named(self, base: str, **filters: Any) -> List[StoredResult]:
         """Runs named exactly ``base`` or a grid expansion ``base[...]``.
@@ -655,24 +741,24 @@ class ResultStore:
 
     # --------------------------------------------------------------- helpers
     def _metrics_for(self, hashes: Sequence[str]) -> Dict[str, Dict[str, float]]:
-        """Metrics of many runs in one query: hash -> flat metrics dict."""
+        """Metrics of many runs, one query per 500 hashes: hash -> flat metrics.
+
+        SQLite builds the flat ``metric[/app]`` keys, so no row goes through
+        :func:`~repro.results.schema.join_metric`.
+        """
         out: Dict[str, Dict[str, float]] = {}
-        # SQLite caps bound parameters (999 historically); chunk well below it.
-        for start in range(0, len(hashes), 500):
-            chunk = list(hashes[start:start + 500])
-            placeholders = ",".join("?" for _ in chunk)
-            for hash_, app, metric, value in self._conn.execute(
-                f"SELECT scenario_hash, app, metric, value FROM metrics "
-                f"WHERE scenario_hash IN ({placeholders})",
+        for chunk in _chunks(hashes):
+            for hash_, key, value in self._conn.execute(
+                f"SELECT scenario_hash, {_METRIC_KEY_SQL}, value FROM metrics "
+                f"WHERE scenario_hash IN ({_marks(chunk)})",
                 chunk,
             ):
-                out.setdefault(hash_, {})[join_metric(metric, app or None)] = value
+                out.setdefault(hash_, {})[key] = value
         return out
 
-    def _load(self, row: tuple, metrics: Optional[Dict[str, float]] = None) -> StoredResult:
+    @staticmethod
+    def _load(row: tuple, metrics: Dict[str, float]) -> StoredResult:
         (hash_, name, jobs, routing, placement, seed, _version, scenario_json, wall, created) = row
-        if metrics is None:
-            metrics = self._metrics_for([hash_]).get(hash_, {})
         return StoredResult(
             scenario_hash=hash_,
             name=name,
@@ -680,7 +766,7 @@ class ResultStore:
             routing=routing,
             placement=placement,
             seed=int(seed),
-            scenario=json.loads(scenario_json),
+            scenario_json=scenario_json,
             metrics=metrics,
             wall_seconds=float(wall),
             created_at=created,
