@@ -23,6 +23,7 @@ import csv
 import io
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.axes import AXIS
 from repro.metrics.interference import InterferenceSummary
 from repro.results import (
     ResultStore,
@@ -532,13 +533,14 @@ def loadcurve_rows(
     family = _family(store.runs(name_prefix=name, **filters), name, routings, populate=populate)
     for routing, runs in family.items():
         for run in runs:
-            loads = {load for load in run.job_offered_loads() if load is not None}
-            if len(loads) != 1:
+            load = run.value("offered_load")
+            if load is None:
                 continue  # not a single-load steady-state run
             # Fidelity is a grouping axis: packet- and flow-level points of
             # one pattern trace *separate* curves (flow latencies are
             # message-level approximations), never one blended statistic.
-            key = (routing, loads.pop(), run.window(), run.job_start_times(), run.fidelity())
+            window = (run.value("warmup_ns"), run.value("measurement_ns"))
+            key = (routing, load, window, run.value("start_time"), run.value("fidelity"))
             groups.setdefault(key, []).append(run)
 
     def order(key: tuple) -> tuple:
@@ -576,10 +578,11 @@ _STANDALONE_COLUMNS = ["routing", *TABLE1_COLUMNS]
 
 def _as_routings(filters: dict) -> dict:
     """``filters`` with its ``routing`` turned into the ``routings`` list of
-    the multi-routing builders, which name a routing that lacks runs."""
+    the multi-routing builders, which name a routing that lacks runs.  The
+    routing is canonicalized as the runs were ("ugalg" names ugal-g's)."""
     routing = filters.get("routing")
     rest = {key: value for key, value in filters.items() if key != "routing"}
-    return {**rest, "routings": None if routing is None else [routing]}
+    return {**rest, "routings": None if routing is None else [AXIS["routing"].canonical(routing)]}
 
 
 def _table1_report(store: ResultStore, _: str, filters: dict) -> _Report:
@@ -706,12 +709,6 @@ def build_report(store: ResultStore, name: str, fmt: str = "table", **filters: A
     two are different approximations and are never averaged together.
     Backs ``dragonfly-sim report``.
     """
-    if filters.get("routing") is not None:
-        # Stored runs carry canonical algorithm names; accept the same
-        # aliases the sweep that populated them accepted ("ugalg" etc.).
-        from repro.routing import resolve_algorithm
-
-        filters["routing"] = resolve_algorithm(filters["routing"])
     kind = "table2" if name == MIXED_SCENARIO_NAME else name
     for prefix, (forms, builder) in _REPORTS.items():
         if kind.startswith(prefix) if forms else kind == prefix:

@@ -35,9 +35,10 @@ import os
 import sqlite3
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.analysis.reports import OUTPUT_FORMATS, format_table
+from repro.experiments.axes import AXES, AXIS, Axis
 from repro.experiments.scenario import (
     Scenario,
     dump_scenarios,
@@ -55,6 +56,21 @@ def _dump_path(args: argparse.Namespace) -> Optional[str]:
     return getattr(args, "dump_scenario", None)
 
 
+def _option(axis: Axis) -> Optional[str]:
+    """The axis's one-value option: its ``report`` filter or, for an axis
+    ``sweep`` overrides rather than expands (the window), that option."""
+    return axis.flag or (None if axis.grid else next(iter(axis.sweep), None))
+
+
+def _add_axis_options(parser: argparse.ArgumentParser, axes: Sequence[str], role: str, **kwargs: Any) -> None:
+    """Add the one-value option of each of ``axes``; ``role`` starts its help."""
+    for axis in (AXIS[name] for name in axes):
+        parser.add_argument(
+            _option(axis), type=axis.type, metavar=axis.metavar,
+            help=f"{role} {axis.help}", **{**axis.options, **kwargs},
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     # Shared options live on a parent parser attached to the main parser AND
@@ -63,13 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS so a subparser's (unset) copy never clobbers a value parsed
     # earlier; readers test hasattr() or go through _dump_path().
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="experiment seed (default 1)"
-    )
-    common.add_argument(
-        "--scale", type=float, default=argparse.SUPPRESS,
-        help="message-volume scale factor (default 1.0)",
-    )
+    _add_axis_options(common, _SHARED_AXES, "the", default=argparse.SUPPRESS)
     capture = argparse.ArgumentParser(add_help=False)
     capture.add_argument(
         "--dump-scenario", metavar="PATH", default=argparse.SUPPRESS,
@@ -95,51 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
              "files — pairwise and mixed scenarios sweep exactly like "
              "standalone ones",
     )
-    sweep.add_argument(
-        "--routings", nargs="+", default=None,
-        help="routing algorithms (default: the base scenario's algorithm)",
-    )
-    sweep.add_argument(
-        "--placements", nargs="+", default=None,
-        help="placement policies (random, contiguous; default: the base "
-             "scenario's policy)",
-    )
-    sweep.add_argument(
-        "--seeds", nargs="+", type=int, default=None,
-        help="experiment seeds (default: --seed if given, else the base value)",
-    )
-    sweep.add_argument(
-        "--start-times", nargs="+", type=float, default=None, metavar="NS",
-        help="stagger the base scenario's first job across these arrival "
-             "times (ns)",
-    )
-    sweep.add_argument(
-        "--offered-loads", nargs="+", type=float, default=None, metavar="FRACTION",
-        help="sweep the base scenario's synthetic jobs across these "
-             "continuous-injection loads (fractions of terminal bandwidth, "
-             "e.g. 0.1 0.4 0.7) — the latency-vs-load axis (see the "
-             "loadcurve/<pattern> presets)",
-    )
-    sweep.add_argument(
-        "--fidelities", "--fidelity", nargs="+", default=None, dest="fidelities",
-        help="sweep the base scenario across these simulation fidelities "
-             "(packet, flow) — the cross-fidelity validation axis "
-             "(see docs/fidelity.md)",
-    )
+    for axis in AXES:
+        if axis.grid and axis.sweep:
+            sweep.add_argument(
+                *axis.sweep, nargs="+", dest=axis.grid, type=axis.type, metavar=axis.metavar,
+                help=f"sweep the grid across these values of the {axis.help} "
+                     "(default: the base scenario's)",
+            )
+    _add_axis_options(sweep, [a.name for a in AXES if a.sweep and not a.grid], "override the")
     sweep.add_argument(
         "--fail-fast", action="store_true",
         help="abort the sweep on the first failing cell instead of finishing "
              "the rest of the grid and summarizing failures at the end",
-    )
-    sweep.add_argument(
-        "--warmup", type=float, default=None, metavar="NS",
-        help="override the base scenario's warmup_ns (statistics before this "
-             "time are excluded from measurement-window metrics)",
-    )
-    sweep.add_argument(
-        "--measurement", type=float, default=None, metavar="NS",
-        help="override the base scenario's measurement_ns (the run terminates "
-             "when the window closes instead of waiting for rank completion)",
     )
     sweep.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,
@@ -160,13 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario name (see 'dragonfly-sim scenarios'), a glob over the "
              "library (e.g. 'table1/*') or path to a scenario JSON file",
     )
-    run.add_argument("--routing", default=None, help="override the routing algorithm")
-    run.add_argument("--placement", default=None, help="override the placement policy")
-    run.add_argument(
-        "--fidelity", default=None, choices=["packet", "flow"],
-        help="override the simulation fidelity (flow = fluid-flow model for "
-             "large systems; see docs/fidelity.md)",
-    )
+    _add_axis_options(run, _RUN_AXES, "override the")
     run.add_argument(
         "--store", default=None, metavar="PATH",
         help="record the run's metrics into this result store "
@@ -195,12 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--job", default=None, metavar="NAME",
         help="only write the trace of this job (default: every job)",
     )
-    trace_record.add_argument(
-        "--routing", default=None, help="override the routing algorithm before recording"
-    )
-    trace_record.add_argument(
-        "--placement", default=None, help="override the placement policy before recording"
-    )
+    _add_axis_options(trace_record, _TRACE_AXES, "record under this")
     trace_replay = trace_sub.add_parser(
         "replay", parents=[common],
         help="re-execute a recorded trace file as a 'trace' job",
@@ -208,14 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_replay.add_argument(
         "trace", help="trace file (.trace.jsonl) written by 'trace record'"
     )
-    trace_replay.add_argument(
-        "--routing", default=None,
-        help="replay under this routing algorithm instead of the recorded one",
-    )
-    trace_replay.add_argument(
-        "--placement", default=None,
-        help="replay under this placement policy instead of the recorded one",
-    )
+    _add_axis_options(trace_replay, _TRACE_AXES, "replay under this")
     trace_replay.add_argument(
         "--name", default=None, metavar="SCENARIO",
         help="scenario name for the replay run (default: trace/<recorded app>)",
@@ -245,29 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=list(OUTPUT_FORMATS), default="table",
         help="output format (default: aligned plain-text table)",
     )
-    report.add_argument(
-        "--routing", default=None, help="only consider runs under this routing algorithm"
-    )
-    report.add_argument(
-        "--placement", default=None,
-        help="only consider runs under this placement policy (random, contiguous)",
-    )
-    report.add_argument(
-        "--start-time", type=float, default=None, metavar="NS",
-        help="for pairwise/synthetic reports: only consider co-runs whose "
-             "staggered arrival time equals NS (0 = simultaneous arrivals)",
-    )
-    report.add_argument(
-        "--fidelity", default=None, choices=["packet", "flow"],
-        help="only consider runs at this simulation fidelity — disambiguates "
-             "stores holding packet- and flow-level runs of one scenario "
-             "(see docs/fidelity.md)",
-    )
-    report.add_argument(
-        "--knob", action="append", default=None, metavar="JOB:KEY=VALUE",
-        help="only consider runs whose JOB carries this kwarg value, e.g. "
-             "--knob hotspot:hot_fraction=0.9 (repeatable; selects one cell "
-             "of a job_knobs sweep)",
+    _add_axis_options(
+        report, [a.name for a in AXES if a.flag and a.name not in _SHARED_AXES],
+        "only consider runs with this",
     )
     report.add_argument(
         "--output", "-o", default=None, metavar="FILE",
@@ -313,20 +252,29 @@ def _resolve_scenarios(refs: Sequence[str]) -> Optional[List[Scenario]]:
     return scenarios
 
 
-#: Flags that override (run, trace record) or filter by (report) one axis
-#: of a scenario; the option name is the keyword of ``Scenario.with_updates``
-#: and of ``ResultStore.runs``.
-_SCENARIO_AXES = ("routing", "placement", "fidelity", "seed", "scale")
+#: Axes whose one-value option every subcommand shares (``--seed 3 run
+#: ...`` and ``run ... --seed 3`` alike), and those ``run`` and ``trace``
+#: override; ``report`` filters by every axis option, and ``sweep`` expands
+#: the grid axes and overrides the rest.
+_SHARED_AXES = ("seed", "scale")
+_RUN_AXES = ("routing", "placement", "fidelity")
+_TRACE_AXES = ("routing", "placement")
 
 
-def _given(args: argparse.Namespace, axes: Sequence[str]) -> dict:
-    """``{axis: value}`` for each of ``axes`` the user passed on the command line.
+def _given(args: argparse.Namespace) -> dict:
+    """``{axis: value}`` of each axis option given (``ResultStore.runs`` filters).
 
     Unset options are ``None`` or, for the shared ``--seed``/``--scale``
-    (``argparse.SUPPRESS``), absent; a subcommand without the option at all
-    (``trace record`` has no ``--fidelity``) never passes it.
+    (``argparse.SUPPRESS``), absent; a subcommand without an axis's option
+    never yields it.
     """
-    return {axis: value for axis in axes if (value := getattr(args, axis, None)) is not None}
+    given = {}
+    for axis in AXES:
+        option = _option(axis)
+        value = getattr(args, option[2:].replace("-", "_"), None) if option else None
+        if value is not None:
+            given[axis.name] = axis.parse(value)
+    return given
 
 
 def _with_overrides(scenarios: List[Scenario], overrides: dict) -> Optional[List[Scenario]]:
@@ -335,7 +283,8 @@ def _with_overrides(scenarios: List[Scenario], overrides: dict) -> Optional[List
     if not overrides:
         return scenarios
     try:
-        return [scenario.with_updates(**overrides) for scenario in scenarios]
+        keywords = {AXIS[name].keyword: value for name, value in overrides.items()}
+        return [scenario.with_updates(**keywords) for scenario in scenarios]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -354,26 +303,21 @@ def _run_sweep(args: argparse.Namespace) -> int:
     bases = _resolve_scenarios(args.scenario)
     if bases is None:
         return 2
-    if args.seeds is not None:
-        seeds = args.seeds
-    elif hasattr(args, "seed"):
-        seeds = [args.seed]
-    else:
-        seeds = None  # keep the base seed
-    overrides = _given(args, ("scale",))
-    if args.warmup is not None or args.measurement is not None:
-        overrides.update(warmup_ns=args.warmup, measurement_ns=args.measurement)
+    # One value of a grid axis (--seed) is a one-cell axis: only the axes
+    # the user passed are expanded, everything else keeps the base value.
+    overrides = _given(args)
+    axes = {
+        axis.grid: getattr(args, axis.grid) or (
+            [overrides.pop(axis.name)] if axis.name in overrides else None
+        )
+        for axis in AXES
+        if axis.grid and axis.sweep
+    }
     bases = _with_overrides(bases, overrides)
     if bases is None:
         return 2
-    # Only the axes the user actually passed are expanded; everything else
-    # keeps the base scenario's value.
     try:
-        grid = expand_grid(
-            bases, routings=args.routings, placements=args.placements, seeds=seeds,
-            start_times=args.start_times, offered_loads=args.offered_loads,
-            fidelities=args.fidelities,
-        )
+        grid = expand_grid(bases, **axes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -420,7 +364,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_run(args: argparse.Namespace) -> int:
     scenarios = _resolve_scenarios([args.scenario])
     if scenarios is not None:
-        scenarios = _with_overrides(scenarios, _given(args, _SCENARIO_AXES))
+        scenarios = _with_overrides(scenarios, _given(args))
     if scenarios is None:
         return 2
     dump = _dump_path(args)
@@ -485,7 +429,7 @@ def _run_trace_record(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    scenarios = _with_overrides(scenarios, _given(args, _SCENARIO_AXES))
+    scenarios = _with_overrides(scenarios, _given(args))
     if scenarios is None:
         return 2
     scenario = scenarios[0]
@@ -524,13 +468,7 @@ def _run_trace_replay(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        scenario = replay_scenario(
-            args.trace,
-            routing=args.routing,
-            placement=args.placement,
-            seed=getattr(args, "seed", None),
-            name=args.name,
-        )
+        scenario = replay_scenario(args.trace, name=args.name, **_given(args))
     except (TraceError, OSError) as exc:
         print(f"error: cannot replay {args.trace!r}: {exc}", file=sys.stderr)
         return 2
@@ -563,35 +501,6 @@ def _run_trace_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_knobs(specs: Optional[List[str]]) -> Optional[dict]:
-    """Parse repeated ``JOB:KEY=VALUE`` --knob flags into {job: {key: value}}.
-
-    Values parse as int, then float, then bool literals, then plain strings —
-    matching the JSON scalar types job kwargs serialize to.
-    """
-    if not specs:
-        return None
-    knobs: dict = {}
-    for spec in specs:
-        job, sep, assignment = spec.partition(":")
-        key, eq, raw = assignment.partition("=")
-        if not sep or not eq or not job or not key:
-            raise ValueError(f"--knob expects JOB:KEY=VALUE, got {spec!r}")
-        from repro.workloads import resolve_application
-
-        job = resolve_application(job)  # stored job names are canonical
-        value: object
-        try:
-            value = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = {"true": True, "false": False}.get(raw.lower(), raw)
-        knobs.setdefault(job, {})[key] = value
-    return knobs
-
-
 def _run_report(args: argparse.Namespace) -> int:
     from repro.analysis.reports import build_report
 
@@ -606,13 +515,7 @@ def _run_report(args: argparse.Namespace) -> int:
         return 2
     try:
         with ResultStore(path) as store:
-            text = build_report(
-                store,
-                args.name,
-                fmt=args.fmt,
-                knobs=_parse_knobs(args.knob),
-                **_given(args, _SCENARIO_AXES + ("start_time",)),
-            )
+            text = build_report(store, args.name, fmt=args.fmt, **_given(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

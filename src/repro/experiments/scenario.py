@@ -57,8 +57,9 @@ from repro.experiments.configs import (
     ml_spec,
     synthetic_spec,
 )
+from repro.experiments.axes import ALWAYS, AXES, apply_axes
 from repro.experiments.configs import AppSpec
-from repro.placement import PLACEMENTS
+from repro.placement import resolve_placement
 from repro.workloads import resolve_application
 
 __all__ = [
@@ -98,20 +99,18 @@ _SIM_KNOBS: Tuple[str, ...] = tuple(
 _SYSTEM_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(SystemConfig))
 _ROUTING_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(RoutingConfig))
 
-#: Sim knobs serialized **only when non-default**.  These fields were added
-#: after scenarios were first hashed; omitting them at their default value
-#: keeps the historical ``sim`` section byte-identical, so every pre-existing
+#: Sim knobs serialized **only when non-default**: the sim-section axes with
+#: a default (the window and the fidelity).  These fields were added after
+#: scenarios were first hashed; omitting them at their default value keeps
+#: the historical ``sim`` section byte-identical, so every pre-existing
 #: scenario hash (and with it every sweep-cache and result-store key) is
 #: preserved exactly — the same convention ``_job_to_dict`` applies to
-#: ``start_time``.
+#: ``start_time``.  A non-default value is hashed: flow-level results, for
+#: one, are different numbers (see docs/fidelity.md).
 _OPTIONAL_SIM_KNOBS: Dict[str, object] = {
-    "warmup_ns": 0.0,
-    "measurement_ns": None,
-    # Hash neutrality: fidelity DOES change the numbers (flow-level results
-    # are approximations, see docs/fidelity.md), so a non-default fidelity is
-    # hashed as part of the scenario description — but the default is omitted
-    # so every pre-existing packet-level scenario hash is byte-identical.
-    "fidelity": "packet",
+    axis.path[-1]: axis.default
+    for axis in AXES
+    if axis.path[:1] == ("sim",) and axis.default is not ALWAYS
 }
 
 _TOP_KEYS = frozenset({"name", "system", "routing", "sim", "placement", "jobs"})
@@ -255,12 +254,7 @@ class Scenario:
             raise TypeError(
                 f"placement must be a policy name, got {type(self.placement).__name__}"
             )
-        placement = self.placement.strip().lower()
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; choose from {list(PLACEMENTS)}"
-            )
-        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "placement", resolve_placement(self.placement))
 
     # ------------------------------------------------------------ serialization
     def to_dict(self) -> dict:
@@ -334,101 +328,22 @@ class Scenario:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     # ---------------------------------------------------------------- variation
-    def with_updates(
-        self,
-        *,
-        name: Optional[str] = None,
-        routing: Optional[str] = None,
-        placement: Optional[str] = None,
-        seed: Optional[int] = None,
-        system: Optional[SystemConfig] = None,
-        scale: Optional[float] = None,
-        start_time: Optional[float] = None,
-        job_kwargs: Optional[Dict[str, dict]] = None,
-        offered_load: Optional[float] = None,
-        warmup_ns: Optional[float] = None,
-        measurement_ns: Optional[float] = None,
-        fidelity: Optional[str] = None,
-    ) -> "Scenario":
-        """Copy of this scenario with selected axes replaced (used by grids).
+    def with_updates(self, *, name: Optional[str] = None, **axes: Any) -> "Scenario":
+        """Copy of this scenario with a new ``name`` and the given axes set.
 
-        ``scale`` overrides the ``scale`` kwarg of **every** job (the
-        message-volume knob all bundled workloads accept).  ``start_time``
-        sets the arrival time of the scenario's **first** job — the target of
-        a pairwise co-run — so staggered-arrival studies delay the target
-        against an already-running background.  ``job_kwargs`` merges
-        per-job constructor overrides, keyed by (case-insensitive) job name:
-        ``{"hotspot": {"hot_fraction": 0.5}}``.  ``offered_load`` switches
-        every job that supports it (the synthetic traffic family) to
-        continuous open-loop injection at that fraction of terminal
-        bandwidth; ``warmup_ns``/``measurement_ns`` set the steady-state
-        measurement window of the simulation config.  ``fidelity`` switches
-        the simulation fidelity (``"packet"``/``"flow"``, see
-        :mod:`repro.flow`).
+        Each keyword is the ``with_updates`` keyword of one axis of
+        :data:`repro.experiments.axes.AXES` — ``routing``, ``placement``,
+        ``seed``, ``scale``, ``start_time``, ``job_kwargs``, ``offered_load``,
+        ``fidelity``, ``warmup_ns`` or ``measurement_ns`` — and ``None``
+        keeps the scenario's own value.  ``scale`` sets every job's scale,
+        ``start_time`` the *first* job's arrival (a pairwise co-run's target
+        arrives late), ``job_kwargs`` merges per-job kwargs keyed by job name
+        (``{"hotspot": {"hot_fraction": 0.5}}``) and ``offered_load``
+        switches every job that supports it to continuous injection; see
+        the "Axes" table of docs/scenarios.md.
         """
-        from repro.workloads import application_kwargs
-
-        config = self.config
-        if routing is not None:
-            config = config.with_routing(routing)
-        if seed is not None:
-            config = config.with_seed(seed)
-        if system is not None:
-            config = config.with_system(system)
-        if warmup_ns is not None or measurement_ns is not None:
-            config = config.with_window(warmup_ns=warmup_ns, measurement_ns=measurement_ns)
-        if fidelity is not None:
-            config = config.with_fidelity(fidelity)
-        jobs = list(self.jobs)
-        if scale is not None:
-            jobs = [
-                AppSpec(spec.name, spec.num_ranks, {**spec.kwargs, "scale": scale}, spec.start_time)
-                for spec in jobs
-            ]
-        if offered_load is not None:
-            supported = [
-                index
-                for index, spec in enumerate(jobs)
-                if (accepted := application_kwargs(spec.name)) is None
-                or "offered_load" in accepted
-            ]
-            if not supported:
-                raise ValueError(
-                    f"no job of scenario {self.name!r} supports offered_load "
-                    f"(jobs are {[spec.name for spec in jobs]}; continuous "
-                    "injection is a synthetic traffic-pattern mode)"
-                )
-            for index in supported:
-                spec = jobs[index]
-                jobs[index] = AppSpec(
-                    spec.name,
-                    spec.num_ranks,
-                    {**spec.kwargs, "offered_load": offered_load},
-                    spec.start_time,
-                )
-        if job_kwargs is not None:
-            by_name = {spec.name: index for index, spec in enumerate(jobs)}
-            for job_name, overrides in job_kwargs.items():
-                canonical = resolve_application(job_name)
-                if canonical not in by_name:
-                    raise ValueError(
-                        f"no job named {job_name!r} in scenario {self.name!r}; "
-                        f"jobs are {sorted(by_name)}"
-                    )
-                index = by_name[canonical]
-                spec = jobs[index]
-                jobs[index] = AppSpec(
-                    spec.name, spec.num_ranks, {**spec.kwargs, **overrides}, spec.start_time
-                )
-        if start_time is not None:
-            jobs[0] = jobs[0].with_start_time(start_time)
-        return replace(
-            self,
-            name=name if name is not None else self.name,
-            jobs=tuple(jobs),
-            config=config,
-            placement=placement if placement is not None else self.placement,
-        )
+        scenario, _ = apply_axes(self, axes)
+        return scenario if name is None else replace(scenario, name=name)
 
     # ---------------------------------------------------------------- execution
     def run(
@@ -474,92 +389,42 @@ def scenario_hash(scenario: Scenario) -> str:
 
 
 # -------------------------------------------------------------------- grids
-def _knob_label(job_kwargs: Dict[str, dict]) -> str:
-    """Deterministic grid-name part for one job_kwargs cell."""
-    parts = []
-    for job in sorted(job_kwargs):
-        knobs = ",".join(f"{k}={job_kwargs[job][k]:g}" if isinstance(job_kwargs[job][k], (int, float))
-                         else f"{k}={job_kwargs[job][k]}" for k in sorted(job_kwargs[job]))
-        parts.append(f"{job}({knobs})")
-    return "+".join(parts)
-
-
 def expand_grid(
-    base: Union[Scenario, Sequence[Scenario]],
-    routings: Optional[Sequence[str]] = None,
-    placements: Optional[Sequence[str]] = None,
-    seeds: Optional[Sequence[int]] = None,
-    start_times: Optional[Sequence[float]] = None,
-    job_knobs: Optional[Sequence[Dict[str, dict]]] = None,
-    offered_loads: Optional[Sequence[float]] = None,
-    fidelities: Optional[Sequence[str]] = None,
+    base: Union[Scenario, Sequence[Scenario]], **axes: Optional[Sequence[Any]]
 ) -> List[Scenario]:
     """Expand scenario template(s) along declared axes into a grid.
 
     Every base scenario — standalone, pairwise or mixed alike — is copied
-    once per cell of ``routings × placements × seeds × start_times ×
-    job_knobs × offered_loads × fidelities`` (an omitted axis keeps the base
-    value).  ``start_times`` staggers the first job's arrival (see
-    :meth:`Scenario.with_updates`); ``job_knobs`` cells are per-job kwargs
-    overrides such as ``{"hotspot": {"hot_fraction": 0.5}}``, letting one
-    grid sweep a synthetic pattern's knobs; ``offered_loads`` sweeps the
-    continuous-injection intensity of every synthetic job, the axis of
-    latency-vs-offered-load curves; ``fidelities`` sweeps the simulation
-    fidelity (``"packet"``/``"flow"``), the axis of cross-fidelity
-    validation grids.  Expanded names are deterministic
+    once per cell of the product of the given axes (an omitted axis keeps
+    the base value).  The keywords are the ``expand_grid`` keywords of
+    :data:`repro.experiments.axes.AXES` — ``routings``, ``placements``,
+    ``seeds``, ``start_times``, ``job_knobs`` (per-job kwargs cells such as
+    ``{"hotspot": {"hot_fraction": 0.5}}``), ``offered_loads`` (the axis of
+    latency-vs-offered-load curves) and ``fidelities`` (the axis of
+    cross-fidelity validation grids) — and each value is set as by
+    :meth:`Scenario.with_updates`.  Expanded names are deterministic
     (``base[par,contiguous,seed=2,t0=5e+06,load=0.4,fidelity=flow]``), so
-    re-running the same grid hits the same sweep-cache entries; the default
-    ``"packet"`` fidelity adds no name part (and, since defaults are not
-    serialized, the same cache key), so a fidelity sweep's packet cell is
-    served by previously stored packet-level runs.
+    re-running the same grid hits the same sweep-cache entries.  A value
+    equal to its axis's default (``start_time`` 0, the ``"packet"``
+    fidelity) adds no name part and, since defaults are not serialized,
+    keeps the base's cache key, so previously stored runs serve that cell.
     """
     bases = [base] if isinstance(base, Scenario) else list(base)
     if not bases:
         raise ValueError("expand_grid needs at least one base scenario")
-    routing_axis: List[Optional[str]] = list(routings) if routings else [None]
-    placement_axis: List[Optional[str]] = list(placements) if placements else [None]
-    seed_axis: List[Optional[int]] = list(seeds) if seeds else [None]
-    start_axis: List[Optional[float]] = list(start_times) if start_times else [None]
-    knob_axis: List[Optional[Dict[str, dict]]] = list(job_knobs) if job_knobs else [None]
-    load_axis: List[Optional[float]] = list(offered_loads) if offered_loads else [None]
-    fidelity_axis: List[Optional[str]] = list(fidelities) if fidelities else [None]
-
-    grid: List[Scenario] = []
-    for template, routing, placement, seed, start, knobs, load, fidelity in itertools.product(
-        bases, routing_axis, placement_axis, seed_axis, start_axis, knob_axis, load_axis,
-        fidelity_axis,
-    ):
-        expanded = template.with_updates(
-            routing=routing,
-            placement=placement,
-            seed=seed,
-            start_time=start,
-            job_kwargs=knobs,
-            offered_load=load,
-            fidelity=fidelity,
+    keywords = {axis.grid: axis.keyword for axis in AXES if axis.grid}
+    unknown = sorted(set(axes) - set(keywords))
+    if unknown:
+        raise TypeError(f"expand_grid got unknown axes {unknown}; choose from {list(keywords)}")
+    given = [(keywords[grid], list(axes[grid])) for grid in keywords if axes.get(grid)]
+    cells: List[Scenario] = []
+    for template, *values in itertools.product(bases, *(values for _, values in given)):
+        expanded, parts = apply_axes(
+            template, {keyword: value for (keyword, _), value in zip(given, values)}
         )
-        parts = []
-        if routing is not None:
-            parts.append(expanded.config.routing.algorithm)
-        if placement is not None:
-            parts.append(expanded.placement)
-        if seed is not None:
-            parts.append(f"seed={seed}")
-        if start:  # an explicit 0.0 IS the base experiment: same name, and
-            # (since zero start times are not serialized) the same cache key,
-            # so a previously stored unstaggered run still serves that cell.
-            parts.append(f"t0={start:g}")
-        if knobs is not None:
-            parts.append(_knob_label(knobs))
-        if load is not None:
-            parts.append(f"load={load:g}")
-        if fidelity is not None and expanded.config.fidelity != "packet":
-            # The default fidelity mirrors start_time=0.0: same name, same
-            # cache key, so stored packet runs serve the packet cell.
-            parts.append(f"fidelity={expanded.config.fidelity}")
         name = f"{template.name}[{','.join(parts)}]" if parts else template.name
-        grid.append(expanded.with_updates(name=name))
-    return grid
+        cells.append(replace(expanded, name=name))
+    return cells
 
 
 # ----------------------------------------------------------- scenario library

@@ -19,6 +19,7 @@ __all__ = [
     "Placement",
     "RandomPlacement",
     "create_placement",
+    "resolve_placement",
 ]
 
 _POLICIES = {
@@ -30,9 +31,15 @@ _POLICIES = {
 PLACEMENTS = tuple(sorted(_POLICIES))
 
 
-def create_placement(name: str, **kwargs: Any) -> Placement:
-    """Instantiate a placement policy by name (``"random"`` or ``"contiguous"``)."""
+def resolve_placement(name: str) -> str:
+    """Canonical policy name for ``name`` (case-insensitive); ``ValueError``
+    naming the valid policies on an unknown name."""
     key = name.strip().lower()
     if key not in _POLICIES:
         raise ValueError(f"unknown placement policy {name!r}; choose from {sorted(_POLICIES)}")
-    return _POLICIES[key](**kwargs)
+    return key
+
+
+def create_placement(name: str, **kwargs: Any) -> Placement:
+    """Instantiate a placement policy by name (``"random"`` or ``"contiguous"``)."""
+    return _POLICIES[resolve_placement(name)](**kwargs)

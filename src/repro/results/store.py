@@ -53,6 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 
 import numpy as np
 
+from repro.experiments.axes import AXES, AXIS
+from repro.experiments.axes import filters as axis_filters
 from repro.experiments.scenario import CACHE_VERSION, Scenario, scenario_key
 from repro.results.schema import METRIC_SEP, join_metric, split_metric
 
@@ -67,18 +69,11 @@ __all__ = [
 ]
 
 
-def _comparable_key(run: "StoredResult") -> Tuple[str, str, str]:
-    """Config axes two *different* experiment families must share to be
-    compared against each other: message-volume scale(s), placement, system
-    shape and simulation knobs (job sets legitimately differ, seeds are the
-    aggregation axis)."""
-    sim = {k: v for k, v in run.scenario.get("sim", {}).items() if k != "seed"}
-    return (
-        frozenset(run.job_scales()),
-        run.placement,
-        json.dumps(run.scenario.get("system"), sort_keys=True),
-        json.dumps(sim, sort_keys=True),
-    )
+#: The filters that narrow a run set to one configuration, as the
+#: ``dragonfly-sim report`` options that set them.
+_NARROW = "narrow the selection (e.g. {}) so one configuration remains".format(
+    "/".join(axis.flag for axis in AXES if axis.flag)
+)
 
 
 def ensure_comparable(runs: Sequence["StoredResult"], what: str) -> None:
@@ -93,33 +88,18 @@ def ensure_comparable(runs: Sequence["StoredResult"], what: str) -> None:
     may differ: a staggered co-run is still measured against the
     simultaneous baseline.)
     """
-    if len({_comparable_key(run) for run in runs}) > 1:
+    if len({(run.setting, run.value("scale")) for run in runs}) > 1:
         raise ValueError(
             f"the stored {what} runs disagree on scale/placement/system "
-            "configuration, so their comparison would mix experiments; "
-            "narrow the selection (e.g. --scale/--placement/--seed) so one "
-            "configuration remains"
+            f"configuration, so their comparison would mix experiments; {_NARROW}"
         )
     if not runs:
         return
-    shared = set.intersection(*(set(run.job_ranks()) for run in runs))
-    for name in sorted(shared):
-        variants = {
-            (
-                run.job_ranks()[name],
-                json.dumps(
-                    next(j for j in run.scenario["jobs"] if j["name"] == name).get("kwargs", {}),
-                    sort_keys=True,
-                ),
-            )
-            for run in runs
-        }
-        if len(variants) > 1:
+    for name in sorted(set.intersection(*(set(run.job_configs) for run in runs))):
+        if len({run.job_configs[name] for run in runs}) > 1:
             raise ValueError(
                 f"the stored {what} runs disagree on job {name!r}'s rank count "
-                "or kwargs, so their comparison would mix experiments; narrow "
-                "the selection (e.g. --knob/--scale/--seed) so one "
-                "configuration remains"
+                f"or kwargs, so their comparison would mix experiments; {_NARROW}"
             )
 
 
@@ -127,37 +107,18 @@ def ensure_uniform(runs: Sequence["StoredResult"], what: str) -> None:
     """Reject run sets that span more than one experiment configuration.
 
     Cross-run aggregation (the reports' mean over seeds) is only meaningful
-    when every run shares one configuration — job sizes and scales, routing,
-    placement, the system shape and the simulation knobs (everything except
-    the seed); blending e.g. benchmark-scale and full-scale runs, two
-    routing algorithms, or two system sizes would produce numbers that
-    describe no single experiment.  Raises ``ValueError`` naming the
-    filters that disambiguate.
+    when every run shares one configuration (:attr:`StoredResult.config`:
+    everything except the seed); blending e.g. benchmark-scale and
+    full-scale runs, two routing algorithms, or two system sizes would
+    produce numbers that describe no single experiment.  Raises
+    ``ValueError`` naming the filters that disambiguate.
     """
-    shapes = set()
-    for run in runs:
-        sim = {k: v for k, v in run.scenario.get("sim", {}).items() if k != "seed"}
-        shapes.add(
-            (
-                tuple(sorted(run.job_ranks().items())),
-                # Full per-job kwargs (not just scale): runs differing only
-                # in a pattern knob (hot_fraction, duty_cycle, …) describe
-                # different experiments and must never be averaged.
-                run.job_kwargs_key(),
-                run.job_start_times(),
-                run.routing,
-                run.placement,
-                json.dumps(run.scenario.get("system"), sort_keys=True),
-                json.dumps(sim, sort_keys=True),
-            )
-        )
+    shapes = {run.config for run in runs}
     if len(shapes) > 1:
         raise ValueError(
             f"the {len(runs)} stored {what} runs span {len(shapes)} different "
             "job-size/kwargs/arrival/routing/placement/system/sim "
-            "configurations; narrow the selection (e.g. --routing/--placement/"
-            "--scale/--seed/--start-time/--knob/--fidelity) so one "
-            "configuration remains"
+            f"configurations; {_NARROW}"
         )
 
 
@@ -183,8 +144,8 @@ def mean_metric(runs: Sequence["StoredResult"], metric: str, app: Optional[str] 
         # under the base name — runs_named and this aggregation pick it up.
         run = runs[0]
         base = run.name.partition("[")[0]
-        scales = set(run.job_scales())
-        scale_hint = f" --scale {scales.pop()}" if len(scales) == 1 else ""
+        scale = run.value("scale")
+        scale_hint = f" --scale {scale}" if scale is not None else ""
         raise ValueError(
             f"none of the {len(runs)} stored {run.name!r} run(s) has metric "
             f"{join_metric(metric, app)!r}; rows recorded by older code may "
@@ -258,61 +219,49 @@ class StoredResult:
         """Value of ``metric`` (optionally per-application), or ``None``."""
         return self.metrics.get(join_metric(metric, app))
 
-    def job_scales(self) -> Tuple[float, ...]:
-        """Per-job message-volume ``scale`` kwargs (1.0 when unset)."""
-        return tuple(
-            float(job.get("kwargs", {}).get("scale", 1.0)) for job in self.scenario["jobs"]
-        )
+    def value(self, axis: str) -> Any:
+        """The run's value of one axis of :data:`~repro.experiments.axes.AXES`."""
+        return AXIS[axis].read(self.scenario)
 
-    def job_start_times(self) -> Tuple[float, ...]:
-        """Per-job arrival times in ns (0.0 when not staggered)."""
-        return tuple(
-            float(job.get("start_time", 0.0)) for job in self.scenario["jobs"]
-        )
+    @cached_property
+    def setting(self) -> str:
+        """Canonical JSON of the stored description outside its jobs, without
+        the name and without the axes runs are aggregated over (the seed)."""
+        doc = {key: value for key, value in self.scenario.items() if key not in ("name", "jobs")}
+        for axis in AXES:
+            if not axis.group:
+                doc = _without(doc, axis.path)
+        return json.dumps(doc, sort_keys=True)
 
-    def job_offered_loads(self) -> Tuple[Optional[float], ...]:
-        """Per-job continuous-injection offered loads (None = fixed-length job)."""
-        return tuple(
-            (
-                float(job.get("kwargs", {})["offered_load"])
-                if job.get("kwargs", {}).get("offered_load") is not None
-                else None
+    @cached_property
+    def job_configs(self) -> Dict[str, str]:
+        """Job name -> canonical JSON of the job's description without its
+        arrival time: what a job shared by two families must keep."""
+        return {
+            job["name"]: json.dumps(
+                {key: value for key, value in job.items() if key != "start_time"}, sort_keys=True
             )
             for job in self.scenario["jobs"]
-        )
+        }
 
-    def window(self) -> Tuple[float, Optional[float]]:
-        """``(warmup_ns, measurement_ns)`` of the run (``(0.0, None)`` = unwindowed).
-
-        These sim knobs are serialized only when non-default, so pre-window
-        stored runs read back as unwindowed.
-        """
-        sim = self.scenario.get("sim", {})
-        measurement = sim.get("measurement_ns")
-        return (
-            float(sim.get("warmup_ns", 0.0)),
-            float(measurement) if measurement is not None else None,
-        )
-
-    def fidelity(self) -> str:
-        """Simulation fidelity of the run (``"packet"``/``"flow"``).
-
-        The fidelity sim knob is serialized only when non-default, so every
-        pre-fidelity stored run reads back as packet-level — which is exactly
-        what it was.
-        """
-        return str(self.scenario.get("sim", {}).get("fidelity", "packet"))
-
-    def job_kwargs_key(self) -> Tuple[str, ...]:
-        """Canonical per-job kwargs (hashable), the knob-identity of the run."""
-        return tuple(
-            json.dumps(job.get("kwargs", {}), sort_keys=True)
-            for job in self.scenario["jobs"]
-        )
+    @cached_property
+    def config(self) -> Tuple[str, Tuple[Tuple[str, str], ...], Tuple[float, ...]]:
+        """The run's configuration: everything but the name and the seed.
+        Built once per run, however many checks compare it."""
+        starts = tuple(float(job.get("start_time", 0.0)) for job in self.scenario["jobs"])
+        return self.setting, tuple(self.job_configs.items()), starts
 
     def job_ranks(self) -> Dict[str, int]:
         """Job name -> rank count, from the stored scenario description."""
         return {job["name"]: int(job["num_ranks"]) for job in self.scenario["jobs"]}
+
+
+def _without(doc: dict, path: Tuple[str, ...]) -> dict:
+    """``doc`` without the field at ``path`` (a copy; ``doc`` is untouched)."""
+    head, *rest = path
+    if not rest:
+        return {key: value for key, value in doc.items() if key != head}
+    return {**doc, head: _without(doc.get(head, {}), tuple(rest))}
 
 
 def _canonical(doc: dict) -> str:
@@ -330,6 +279,9 @@ def _describes(stored_json: str, canonical: str) -> bool:
 #: historically), so long key lists are read in chunks well below that.
 _IN_CHUNK = 500
 
+#: Axes the ``runs`` table also holds as (indexed) columns: filtered in SQL.
+_AXIS_COLUMNS = ("routing", "placement", "seed")
+
 #: SQL expression of a metrics row's flat key, :func:`join_metric` in SQL.
 _METRIC_KEY_SQL = f"CASE app WHEN '' THEN metric ELSE metric || '{METRIC_SEP}' || app END"
 
@@ -343,74 +295,21 @@ def _marks(chunk: Sequence[str]) -> str:
 
 
 def filter_runs(
-    runs: Iterable[StoredResult],
-    application: Optional[str] = None,
-    scale: Optional[float] = None,
-    start_time: Optional[float] = None,
-    knobs: Optional[Dict[str, Dict[str, object]]] = None,
-    offered_load: Optional[float] = None,
-    fidelity: Optional[str] = None,
+    runs: Iterable[StoredResult], application: Optional[str] = None, **filters: Any
 ) -> List[StoredResult]:
     """The ``runs`` matching every given filter (None = wildcard), in order.
 
-    These are the filters of :meth:`ResultStore.runs` that read the stored
-    scenario description rather than an indexed column; a report that reads
-    several families in one query narrows each family with them.
+    ``application`` selects runs that include the named job; ``filters``
+    name axes of :data:`~repro.experiments.axes.AXES` and match the value a
+    run's stored description holds, canonicalized as the write side does.
     """
-    results = list(runs)
-    if application is not None:
-        results = [r for r in results if application in r.jobs]
-    if scale is not None:
-        results = [r for r in results if all(s == scale for s in r.job_scales())]
-    if start_time is not None:
-        results = [r for r in results if max(r.job_start_times()) == start_time]
-    if knobs:
-        results = [r for r in results if _knobs_match(r, knobs)]
-    if offered_load is not None:
-        results = [
-            r
-            for r in results
-            if {load for load in r.job_offered_loads() if load is not None}
-            == {float(offered_load)}
-        ]
-    if fidelity is not None:
-        from repro.flow import resolve_fidelity
-
-        wanted = resolve_fidelity(fidelity)
-        results = [r for r in results if r.fidelity() == wanted]
-    return results
-
-
-def _knobs_match(run: StoredResult, knobs: Dict[str, Dict[str, object]]) -> bool:
-    """Whether ``run`` carries every requested per-job kwarg value.
-
-    A job that omitted a knob counts as carrying the knob's constructor
-    default (so ``--knob hotspot:hot_fraction=0.25`` matches the preset
-    runs, which never spelled the default out).  Numeric values compare as
-    floats (``0.9`` matches a stored ``0.9`` int or float alike);
-    everything else compares by equality.
-    """
-    import inspect
-
-    from repro.workloads import application_kwarg_default
-
-    stored = {job["name"]: job.get("kwargs", {}) for job in run.scenario["jobs"]}
-    for job, wanted in knobs.items():
-        kwargs = stored.get(job)
-        if kwargs is None:
-            return False
-        for key, value in wanted.items():
-            have = kwargs.get(key, inspect.Parameter.empty)
-            if have is inspect.Parameter.empty:
-                have = application_kwarg_default(job, key)
-            if have is inspect.Parameter.empty:
-                return False
-            if isinstance(value, (int, float)) and isinstance(have, (int, float)):
-                if float(have) != float(value):
-                    return False
-            elif have != value:
-                return False
-    return True
+    wanted = axis_filters(filters)
+    return [
+        run
+        for run in runs
+        if (application is None or application in run.jobs)
+        and all(axis.matches(axis.read(run.scenario), value) for axis, value in wanted)
+    ]
 
 
 class ResultStore:
@@ -565,31 +464,20 @@ class ResultStore:
         self,
         name: Optional[str] = None,
         name_prefix: Optional[str] = None,
-        routing: Optional[str] = None,
-        placement: Optional[str] = None,
-        seed: Optional[int] = None,
         application: Optional[str] = None,
-        scale: Optional[float] = None,
-        start_time: Optional[float] = None,
-        knobs: Optional[Dict[str, Dict[str, object]]] = None,
-        offered_load: Optional[float] = None,
-        fidelity: Optional[str] = None,
+        **filters: Any,
     ) -> List[StoredResult]:
         """Stored runs matching every given filter (None = wildcard).
 
-        ``application`` selects runs that include the named job;
-        ``scale`` selects runs whose every job has that message-volume scale;
-        ``start_time`` selects runs whose *latest* job arrival equals it
-        (``0.0`` keeps only simultaneous-arrival runs);
-        ``knobs`` — ``{job: {kwarg: value}}`` — selects runs whose stored
-        job carries exactly those kwarg values (``{"hotspot":
-        {"hot_fraction": 0.9}}``), which is how one cell of a
-        ``job_knobs`` sweep is singled out;
-        ``offered_load`` selects runs whose every continuous-injection job
-        offers exactly that load (runs without a continuous job never match),
-        which is how one point of an offered-load sweep is singled out;
-        ``fidelity`` selects runs of one simulation fidelity
-        (``"packet"`` also matches every pre-fidelity stored run).
+        ``application`` selects runs that include the named job.  Every
+        other keyword names an axis of :data:`~repro.experiments.axes.AXES`
+        (``routing``, ``placement``, ``seed``, ``scale``, ``start_time``,
+        ``knobs``, ``offered_load``, ``fidelity``, ``warmup_ns``,
+        ``measurement_ns``) and selects the runs holding that value: the
+        runs a grid or ``with_updates`` wrote with it (see the "Axes" table
+        of docs/scenarios.md).  ``knobs`` — ``{job: {kwarg: value}}`` —
+        matches a job carrying those kwarg values, a knob it omits counting
+        as its constructor default.
         """
         query = "SELECT * FROM runs"
         # Rows written before a CACHE_VERSION bump are orphaned, not served:
@@ -604,27 +492,19 @@ class ResultStore:
             # Exact-case prefix match (LIKE would fold ASCII case).
             clauses.append("substr(name, 1, ?) = ?")
             params.extend((len(name_prefix), name_prefix))
-        if routing is not None:
-            clauses.append("routing = ?")
-            params.append(routing)
-        if placement is not None:
-            clauses.append("placement = ?")
-            params.append(placement)
-        if seed is not None:
-            clauses.append("seed = ?")
-            params.append(int(seed))
+        rest = {}
+        for axis, value in axis_filters(filters):
+            if axis.name in _AXIS_COLUMNS:
+                clauses.append(f"{axis.name} = ?")
+                params.append(value)
+            else:
+                rest[axis.name] = value
         query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY name, routing, placement, seed"
         rows = self._conn.execute(query, params).fetchall()
         metrics = self._metrics_for([row[0] for row in rows])
         return filter_runs(
-            [self._load(row, metrics.get(row[0], {})) for row in rows],
-            application=application,
-            scale=scale,
-            start_time=start_time,
-            knobs=knobs,
-            offered_load=offered_load,
-            fidelity=fidelity,
+            [self._load(row, metrics.get(row[0], {})) for row in rows], application, **rest
         )
 
     def runs_named(self, base: str, **filters: Any) -> List[StoredResult]:
@@ -644,79 +524,47 @@ class ResultStore:
     def rows(self, metric: Optional[str] = None, **filters: Any) -> List[dict]:
         """Flat result rows: one dict per (run, application, metric).
 
-        Each row carries the run's identity axes plus ``app`` (None for
-        scenario-level metrics), ``metric`` and ``value``.  ``filters`` are
-        the keyword arguments of :meth:`runs`.
+        Each row carries the run's identity (``scenario_hash``, ``scenario``,
+        ``family`` — the name minus any ``expand_grid`` suffix, so seeds of
+        one experiment share it while ``table1/X`` and ``pairwise/X`` do not
+        — and ``jobs``), its value of every axis of
+        :data:`~repro.experiments.axes.AXES` (``knobs`` pairs each job with
+        its canonical kwargs), plus ``app`` (None for scenario-level
+        metrics), ``metric`` and ``value``.  ``filters`` are the keyword
+        arguments of :meth:`runs`.
         """
         out = []
         for run in self.runs(**filters):
-            scales = set(run.job_scales())
-            scale = scales.pop() if len(scales) == 1 else None
-            start_times = run.job_start_times()
+            identity = {
+                "scenario_hash": run.scenario_hash,
+                "scenario": run.name,
+                "family": run.name.partition("[")[0],
+                "jobs": "+".join(run.jobs),
+                **{axis.name: axis.read(run.scenario) for axis in AXES},
+            }
             for key, value in sorted(run.metrics.items()):
                 key_metric, app = split_metric(key)
-                if metric is not None and key_metric != metric:
-                    continue
-                out.append(
-                    {
-                        "scenario_hash": run.scenario_hash,
-                        "scenario": run.name,
-                        # Scenario family: the name minus any expand_grid
-                        # suffix, so seeds of one experiment share it while
-                        # different experiments (table1/X vs pairwise/X,
-                        # which share a jobs string) do not.
-                        "family": run.name.partition("[")[0],
-                        "jobs": "+".join(run.jobs),
-                        "routing": run.routing,
-                        "placement": run.placement,
-                        "seed": run.seed,
-                        "scale": scale,
-                        # Per-job arrival times: (0.0, ...) unless staggered.
-                        # A grouping axis so staggered and simultaneous runs
-                        # of one family never blend into one statistic.
-                        "start_times": start_times,
-                        # Canonical per-job kwargs: the knob identity, so
-                        # e.g. hot_fraction=0.1 and 0.9 sweeps of one pair
-                        # aggregate separately.
-                        "job_kwargs": run.job_kwargs_key(),
-                        # Per-job continuous-injection loads (None where the
-                        # job is fixed-length) and the measurement-window
-                        # config: the grouping axes of offered-load sweeps.
-                        "offered_loads": run.job_offered_loads(),
-                        "window": run.window(),
-                        # Simulation fidelity: packet- and flow-level runs of
-                        # one family must never blend into one statistic.
-                        "fidelity": run.fidelity(),
-                        "app": app,
-                        "metric": key_metric,
-                        "value": value,
-                    }
-                )
+                if metric is None or key_metric == metric:
+                    out.append({**identity, "app": app, "metric": key_metric, "value": value})
         return out
 
     def aggregate(
-        self,
-        metric: str,
-        group_by: Sequence[str] = (
-            "family", "jobs", "routing", "placement", "scale", "start_times",
-            "job_kwargs", "offered_loads", "window", "fidelity", "app",
-        ),
-        **filters: Any,
+        self, metric: str, group_by: Optional[Sequence[str]] = None, **filters: Any
     ) -> List[dict]:
         """Aggregate one metric across seeds (or any axis left out of ``group_by``).
 
         Returns one row per distinct ``group_by`` tuple with ``count``,
         ``mean``, ``std``, ``min``, ``max`` and ``p99`` over the matched
         values — the cross-seed statistics the paper's tables report.  The
-        scenario ``family`` (name minus grid suffix), the message-volume
-        ``scale``, the per-job arrival times ``start_times``, the per-job
-        ``offered_loads``, the measurement ``window`` and the simulation
-        ``fidelity`` are grouping axes by default, so different experiments
-        that happen to share a jobs string (``table1/FFT3D`` at 24 ranks vs
-        ``pairwise/FFT3D`` at 32) — or runs at different volumes, staggered
-        arrivals, injection loads, window configs or fidelities — are never
-        silently blended into one statistic.
+        default groups by ``family``, ``jobs``, ``app`` and every axis but
+        the seed, so different experiments that happen to share a jobs
+        string (``table1/FFT3D`` at 24 ranks vs ``pairwise/FFT3D`` at 32) —
+        or runs at different volumes, staggered arrivals, knobs, injection
+        loads, windows or fidelities — are never silently blended into one
+        statistic.
         """
+        if group_by is None:
+            group_by = ("family", "jobs", *(axis.name for axis in AXES if axis.group), "app")
         groups: Dict[tuple, List[float]] = {}
         for row in self.rows(metric=metric, **filters):
             key = tuple(row[field] for field in group_by)

@@ -93,7 +93,7 @@ def test_environment_cannot_refidelity_a_stored_run(tmp_path, monkeypatch):
     with ResultStore(tmp_path / "runs.sqlite") as store:
         store.record_run(scenario, result)
         stored = store.get(scenario)
-    assert stored is not None and stored.fidelity() == "packet"
+    assert stored is not None and stored.value("fidelity") == "packet"
     assert "packets_ejected" in stored.metrics
     assert stored.metrics["makespan_ns"] == expected["makespan_ns"]
 
@@ -134,7 +134,7 @@ def test_cli_run_fidelity_flow_files_the_run_under_the_flow_scenario(tmp_path, c
         assert store.get(_tiny_scenario()) is None
         stored = store.get(_tiny_scenario(fidelity="flow"))
         assert len(store) == 1
-    assert stored is not None and stored.fidelity() == "flow"
+    assert stored is not None and stored.value("fidelity") == "flow"
     assert "packets_ejected" not in stored.metrics
 
 
@@ -150,7 +150,7 @@ def test_cli_sweep_fidelities_stores_one_run_per_fidelity(tmp_path, capsys):
     with ResultStore(store_path) as store:
         packet = store.get(_tiny_scenario())
         flow = store.runs(fidelity="flow")
-    assert packet is not None and packet.fidelity() == "packet"
+    assert packet is not None and packet.value("fidelity") == "packet"
     assert "packets_ejected" in packet.metrics
     assert [run.name for run in flow] == ["flowtest/UR[fidelity=flow]"]
     assert "packets_ejected" not in flow[0].metrics

@@ -191,9 +191,9 @@ def test_aggregate_never_blends_mixed_scales_or_staggers():
     staggered = _tiny_scenario(seed=1).with_updates(start_time=30_000.0)
     store.record(staggered, {"comm_time_ns/UR": 77.0})
     rows = store.aggregate("comm_time_ns", scale=0.2)
-    assert [(row["start_times"], row["count"]) for row in rows] == [
-        ((0.0,), 2),
-        ((30_000.0,), 1),
+    assert [(row["start_time"], row["count"]) for row in rows] == [
+        (0.0, 2),
+        (30_000.0, 1),
     ]
     # ...and ensure_uniform refuses to treat the blend as one experiment.
     from repro.results.store import ensure_uniform

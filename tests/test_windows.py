@@ -271,11 +271,11 @@ def test_swept_store_reproduces_monotone_loadcurve(tmp_path):
         # Store axes: one run per load, each filterable on its own.
         for load in loads:
             (run,) = store.runs(offered_load=load)
-            assert run.job_offered_loads() == (load,)
-            assert run.window() == (2_000.0, 10_000.0)
+            assert run.value("offered_load") == load
+            assert (run.value("warmup_ns"), run.value("measurement_ns")) == (2_000.0, 10_000.0)
         rows = store.rows(metric="accepted_throughput_gbps")
-        assert {row["offered_loads"] for row in rows} == {(l,) for l in loads}
-        assert {row["window"] for row in rows} == {(2_000.0, 10_000.0)}
+        assert {row["offered_load"] for row in rows} == set(loads)
+        assert {(row["warmup_ns"], row["measurement_ns"]) for row in rows} == {(2_000.0, 10_000.0)}
 
         # The curve itself, from the store alone (no simulation).
         curve = loadcurve_rows(store, "shift")
