@@ -62,7 +62,9 @@ def _option(axis: Axis) -> Optional[str]:
     return axis.flag or (None if axis.grid else next(iter(axis.sweep), None))
 
 
-def _add_axis_options(parser: argparse.ArgumentParser, axes: Sequence[str], role: str, **kwargs: Any) -> None:
+def _add_axis_options(
+    parser: argparse.ArgumentParser, axes: Sequence[str], role: str, **kwargs: Any
+) -> None:
     """Add the one-value option of each of ``axes``; ``role`` starts its help."""
     for axis in (AXIS[name] for name in axes):
         parser.add_argument(

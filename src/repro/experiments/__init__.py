@@ -4,6 +4,8 @@
 :class:`~repro.experiments.scenario.Scenario` API — one serializable
 description per experiment, with a registry of named presets and grid
 expansion;
+:mod:`repro.experiments.axes` declares the scenario axes (routing, seed,
+scale, …) that grids set and the result store filters and groups by;
 :mod:`repro.experiments.configs` defines the paper-scale and benchmark-scale
 system/application configurations (including the Table II job sizes);
 :mod:`repro.experiments.runner` builds the full simulator stack behind

@@ -113,7 +113,7 @@ def ensure_uniform(runs: Sequence["StoredResult"], what: str) -> None:
     produce numbers that describe no single experiment.  Raises
     ``ValueError`` naming the filters that disambiguate.
     """
-    shapes = {run.config for run in runs}
+    shapes = {run.config for run in runs} if len(runs) > 1 else ()
     if len(shapes) > 1:
         raise ValueError(
             f"the {len(runs)} stored {what} runs span {len(shapes)} different "
