@@ -308,13 +308,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
     # One value of a grid axis (--seed) is a one-cell axis: only the axes
     # the user passed are expanded, everything else keeps the base value.
     overrides = _given(args)
-    axes = {
-        axis.grid: getattr(args, axis.grid) or (
-            [overrides.pop(axis.name)] if axis.name in overrides else None
-        )
-        for axis in AXES
-        if axis.grid and axis.sweep
-    }
+    axes = {}
+    for axis in AXES:
+        if axis.grid and axis.sweep:
+            one = overrides.pop(axis.name, None)
+            axes[axis.grid] = getattr(args, axis.grid) or (None if one is None else [one])
     bases = _with_overrides(bases, overrides)
     if bases is None:
         return 2

@@ -182,8 +182,7 @@ def test_each_run_serializes_its_configuration_once(monkeypatch):
 
     monkeypatch.setattr(store_module.json, "dumps", counting)
     ensure_uniform(runs[:3], "axes/base")
-    first = len(calls)
-    assert first <= 3 * (1 + len(BASE.jobs))
+    assert len(calls) <= 3 * (1 + len(BASE.jobs))  # per run: its setting and jobs
     for _ in range(5):
         ensure_uniform(runs[:3], "axes/base")
         ensure_comparable(runs, "axes/base vs axes/pair")
