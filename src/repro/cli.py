@@ -458,7 +458,7 @@ def _run_trace_record(args: argparse.Namespace) -> int:
 
 
 def _run_trace_replay(args: argparse.Namespace) -> int:
-    from repro.traces import TraceError, replay_scenario
+    from repro.traces import replay_scenario
 
     if hasattr(args, "scale"):
         print(
@@ -469,7 +469,7 @@ def _run_trace_replay(args: argparse.Namespace) -> int:
         return 2
     try:
         scenario = replay_scenario(args.trace, name=args.name, **_given(args))
-    except (TraceError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # TraceError is a ValueError
         print(f"error: cannot replay {args.trace!r}: {exc}", file=sys.stderr)
         return 2
     result = scenario.run()

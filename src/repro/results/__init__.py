@@ -20,6 +20,7 @@ from repro.results.store import (
     DEFAULT_STORE_PATH,
     ResultStore,
     StoredResult,
+    StoreSchemaError,
     ensure_comparable,
     ensure_uniform,
     filter_runs,
@@ -31,6 +32,7 @@ __all__ = [
     "METRIC_SEP",
     "ResultStore",
     "StoredResult",
+    "StoreSchemaError",
     "ensure_comparable",
     "ensure_uniform",
     "filter_runs",

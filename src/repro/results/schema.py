@@ -10,8 +10,8 @@ is stored, cached, or compared.  Keys come in two shapes:
 :func:`flatten_run` is the single producer of this schema (used by the sweep
 workers, the benchmark harness and ``dragonfly-sim run --store``);
 :func:`split_metric`/:func:`join_metric` convert between the flat key form
-and the ``(metric, app)`` pair the store's ``metrics`` table uses.  Keeping
-one producer means the sweep cache, the result store and every report
+(the keys of the store's ``metrics`` JSON column) and the ``(metric, app)``
+pair the reports ask for.  Keeping one producer means the sweep cache, the result store and every report
 builder agree on metric names by construction.
 
 Scenario-level keys (the packet and flow ones only at that fidelity):

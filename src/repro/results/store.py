@@ -10,30 +10,30 @@ Design:
 
 * **One run = one row** in ``runs``, keyed by
   :func:`~repro.experiments.scenario.scenario_hash` and carrying the
-  canonical scenario JSON plus the queryable axes (name, jobs, routing,
-  placement, seed).  The stored scenario is compared against the requested
-  one on every read, so a hash collision or stale layout degrades to a cache
-  miss, never to wrong numbers.
-* **Reads take a constant number of statements.**
-  :meth:`ResultStore.get_many` looks a whole grid up with one ``runs`` and
-  one ``metrics`` statement per 500 distinct hashes (``get`` is its
-  one-cell case); a stored text equal to the canonical JSON hits without a
-  parse, any other text only if it parses to the same scenario.
-  :meth:`ResultStore.runs` is one statement on each table, so a report that
-  reads its families under one name prefix costs two statements.  Nothing
-  read is cached between calls.
-* **Flat metric rows** in ``metrics`` — ``(scenario_hash, app, metric,
-  value)`` with ``app = ''`` for scenario-level metrics — produced by
-  :func:`repro.results.schema.flatten_run`.  The ``value`` column is
-  declared without type affinity so integers round-trip as integers and
-  floats as IEEE doubles (bit-exact).
-* **Append-only**: :meth:`ResultStore.record` inserts with
-  ``INSERT OR IGNORE`` — recorded values are never overwritten; re-recording
-  a known scenario only backfills metric rows it did not have yet (how a
-  run recorded by older code, with fewer metrics, acquires the current
-  ones).  Simulator changes that alter numbers must bump
-  :data:`~repro.experiments.scenario.CACHE_VERSION`, which changes every
-  hash and orphans (rather than corrupts) old rows.
+  canonical scenario JSON, the queryable axes (name, jobs, routing,
+  placement, seed) and the run's flat metrics — the ``{metric[/app]:
+  number}`` dict of :func:`repro.results.schema.flatten_run` — as one JSON
+  text column, ``metrics``.  The stored scenario is compared against the
+  requested one on every read, so a hash collision or stale layout
+  degrades to a cache miss, never to wrong numbers.
+* **Metrics round-trip exactly.**  Integers stay integers, floats are
+  written in their shortest round-trip form (NaN and ±inf included), so
+  a value reads back with the type and bits it was recorded with.
+* **Reads take one statement per 500 hashes.**
+  :meth:`ResultStore.get_many` looks a whole grid up with one ``runs``
+  statement per 500 distinct hashes (``get`` is its one-cell case); a
+  stored text equal to the canonical JSON hits without a parse, any other
+  text only if it parses to the same scenario.  :meth:`ResultStore.runs`
+  is one statement, so a report that reads its families under one name
+  prefix costs one statement.  Nothing read is cached between calls.
+* **Append-only**: :meth:`ResultStore.record` never overwrites a recorded
+  value; re-recording a known scenario only merges in the metric keys its
+  row lacks (how a run recorded by older code, with fewer metrics,
+  acquires the current ones).  Simulator changes that alter numbers must
+  bump :data:`~repro.experiments.scenario.CACHE_VERSION`, which changes
+  every hash and orphans (rather than corrupts) old rows.  A change of the
+  file layout bumps :data:`_SCHEMA_VERSION` instead: a file of another
+  layout fails to open with :class:`StoreSchemaError`.
 
 See ``docs/results.md`` for the on-disk schema and CLI workflows.
 """
@@ -56,11 +56,12 @@ import numpy as np
 from repro.experiments.axes import AXES, AXIS
 from repro.experiments.axes import filters as axis_filters
 from repro.experiments.scenario import CACHE_VERSION, Scenario, scenario_key
-from repro.results.schema import METRIC_SEP, join_metric, split_metric
+from repro.results.schema import join_metric, split_metric
 
 __all__ = [
     "ResultStore",
     "StoredResult",
+    "StoreSchemaError",
     "DEFAULT_STORE_PATH",
     "ensure_comparable",
     "ensure_uniform",
@@ -159,7 +160,9 @@ def mean_metric(runs: Sequence["StoredResult"], metric: str, app: Optional[str] 
 #: Default store location used by the CLI.
 DEFAULT_STORE_PATH = ".sweep-cache/results.sqlite"
 
-_SCHEMA_VERSION = 1
+#: Layout of the store file; a file of any other layout fails to open.
+#: Version 1 kept one ``metrics`` row per value.
+_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -176,18 +179,16 @@ CREATE TABLE IF NOT EXISTS runs (
     cache_version INTEGER NOT NULL,
     scenario_json TEXT NOT NULL,
     wall_seconds  REAL NOT NULL,
-    created_at    TEXT NOT NULL
+    created_at    TEXT NOT NULL,
+    metrics       TEXT NOT NULL  -- flatten_run's dict as JSON
 );
 CREATE INDEX IF NOT EXISTS idx_runs_name ON runs(name);
 CREATE INDEX IF NOT EXISTS idx_runs_axes ON runs(routing, placement, seed);
-CREATE TABLE IF NOT EXISTS metrics (
-    scenario_hash TEXT NOT NULL,
-    app           TEXT NOT NULL DEFAULT '',
-    metric        TEXT NOT NULL,
-    value         NOT NULL,  -- no affinity: ints stay INTEGER, floats stay REAL
-    PRIMARY KEY (scenario_hash, app, metric)
-) WITHOUT ROWID;
 """
+
+
+class StoreSchemaError(sqlite3.DatabaseError):
+    """The file is a result store of another layout (:data:`_SCHEMA_VERSION`)."""
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,11 @@ def _canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _dump_metrics(metrics: Dict[str, float]) -> str:
+    """The ``metrics`` column text: exact for ints, floats, NaN and ±inf."""
+    return json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+
+
 def _describes(stored_json: str, canonical: str) -> bool:
     """Whether a stored scenario document is the scenario whose canonical
     JSON is ``canonical``: equal text, or text that parses to the same
@@ -282,16 +288,9 @@ _IN_CHUNK = 500
 #: Axes the ``runs`` table also holds as (indexed) columns: filtered in SQL.
 _AXIS_COLUMNS = ("routing", "placement", "seed")
 
-#: SQL expression of a metrics row's flat key, :func:`join_metric` in SQL.
-_METRIC_KEY_SQL = f"CASE app WHEN '' THEN metric ELSE metric || '{METRIC_SEP}' || app END"
-
 
 def _chunks(keys: Sequence[str]) -> List[Sequence[str]]:
     return [keys[start:start + _IN_CHUNK] for start in range(0, len(keys), _IN_CHUNK)]
-
-
-def _marks(chunk: Sequence[str]) -> str:
-    return ",".join("?" * len(chunk))
 
 
 def filter_runs(
@@ -338,6 +337,17 @@ class ResultStore:
             (str(_SCHEMA_VERSION),),
         )
         self._conn.commit()
+        version, legacy = self._conn.execute(
+            "SELECT value, EXISTS (SELECT 1 FROM sqlite_master WHERE name = 'metrics') "
+            "FROM meta WHERE key = 'schema_version'"
+        ).fetchone()
+        if legacy or version != str(_SCHEMA_VERSION):
+            self._conn.close()
+            found = "1 (a per-value metrics table)" if legacy else version
+            raise StoreSchemaError(
+                f"result store {self.path!r} has schema version {found}; this code "
+                f"reads version {_SCHEMA_VERSION} only: delete it and re-sweep"
+            )
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -362,17 +372,16 @@ class ResultStore:
         """Append one result; returns whether the *run* was newly recorded.
 
         The store is append-only at the metric level: existing values are
-        never overwritten, but re-recording a known scenario fills in any
-        metric rows it did not have yet.  That is what rescues runs recorded
-        by older code with only coarse metrics — simulating the scenario
-        once with the current code backfills the per-application metrics the
-        reports need.  The one exception to
-        append-only: a row whose stored scenario JSON describes a different
-        scenario (a stale serialization under the same hash) is replaced
-        wholesale, so a re-simulated cell heals the store instead of being
-        discarded forever.  A row that lookups serve — the same document,
-        even if spelled differently — is kept and only backfilled.  Metric
-        keys follow
+        never overwritten, but re-recording a known scenario merges in the
+        metric keys its row lacks.  That is what rescues runs recorded by
+        older code with only coarse metrics — simulating the scenario once
+        with the current code backfills the per-application metrics the
+        reports need.  The one exception to append-only: a row whose stored
+        scenario JSON describes a different scenario (a stale serialization
+        under the same hash) is replaced wholesale, so a re-simulated cell
+        heals the store instead of being discarded forever.  A row that
+        lookups serve — the same document, even if spelled differently — is
+        kept and only backfilled.  Metric keys follow
         :mod:`repro.results.schema`.
         """
         key, canonical = scenario_key(scenario)
@@ -391,35 +400,36 @@ class ResultStore:
             canonical,
             float(wall_seconds),
             created,
+            _dump_metrics(metrics),
         )
         with self._conn:
+            # The insert opens the write transaction, so the read below and
+            # the merge see no other writer in between.
             cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO runs VALUES (?,?,?,?,?,?,?,?,?,?)", run_row
+                "INSERT OR IGNORE INTO runs VALUES (?,?,?,?,?,?,?,?,?,?,?)", run_row
             )
-            inserted = cursor.rowcount > 0
-            if not inserted:
-                stored = self._conn.execute(
-                    "SELECT scenario_json FROM runs WHERE scenario_hash = ?", (key,)
-                ).fetchone()
-                if stored is None or not _describes(stored[0], canonical):
-                    # The row under this hash describes a different scenario
-                    # — in practice a stale layout, not a real sha256
-                    # collision.  Self-heal: the freshly simulated
-                    # result is authoritative, so replace the stale row
-                    # wholesale (otherwise get() keeps missing and every
-                    # sweep re-simulates this cell forever).
-                    self._conn.execute("DELETE FROM metrics WHERE scenario_hash = ?", (key,))
-                    self._conn.execute("DELETE FROM runs WHERE scenario_hash = ?", (key,))
-                    self._conn.execute(
-                        "INSERT INTO runs VALUES (?,?,?,?,?,?,?,?,?,?)", run_row
-                    )
-                    inserted = True
-            rows = []
-            for metric_key, value in metrics.items():
-                metric, app = split_metric(metric_key)
-                rows.append((key, app or "", metric, value))
-            self._conn.executemany("INSERT OR IGNORE INTO metrics VALUES (?,?,?,?)", rows)
-        return inserted
+            if cursor.rowcount > 0:
+                return True
+            stored = self._conn.execute(
+                "SELECT scenario_json, metrics FROM runs WHERE scenario_hash = ?", (key,)
+            ).fetchone()
+            if stored is None or not _describes(stored[0], canonical):
+                # The row under this hash describes a different scenario —
+                # in practice a stale layout, not a real sha256 collision.
+                # Self-heal: the freshly simulated result is authoritative,
+                # so replace the stale row wholesale (otherwise get() keeps
+                # missing and every sweep re-simulates this cell forever).
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO runs VALUES (?,?,?,?,?,?,?,?,?,?,?)", run_row
+                )
+                return True
+            recorded = json.loads(stored[1])
+            if not metrics.keys() <= recorded.keys():
+                self._conn.execute(
+                    "UPDATE runs SET metrics = ? WHERE scenario_hash = ?",
+                    (_dump_metrics({**metrics, **recorded}), key),
+                )
+        return False
 
     def record_run(self, scenario: Scenario, result: "RunResult") -> bool:
         """Flatten a :class:`~repro.experiments.runner.RunResult` and record it."""
@@ -435,29 +445,28 @@ class ResultStore:
     def get_many(self, scenarios: Sequence[Scenario]) -> List[Optional[StoredResult]]:
         """Stored result of every scenario, in input order (None = miss).
 
-        One ``runs`` and one ``metrics`` statement per 500 distinct hashes,
-        however many cells the grid has.  The stored scenario JSON must match
-        the requested canonical form: byte-equal text hits without further
-        work, other text is parsed and compared canonically, so an equivalent
-        document still hits while a hash collision or stale serialization
-        reads as a miss.  Duplicate cells share one result.
+        One ``runs`` statement per 500 distinct hashes, however many cells
+        the grid has.  The stored scenario JSON must match the requested
+        canonical form: byte-equal text hits without further work, other
+        text is parsed and compared canonically, so an equivalent document
+        still hits while a hash collision or stale serialization reads as a
+        miss.  Duplicate cells share one result.
         """
         keys = [scenario_key(scenario) for scenario in scenarios]
         rows: Dict[str, tuple] = {}
         for chunk in _chunks(list(dict.fromkeys(hash_ for hash_, _ in keys))):
+            marks = ",".join("?" * len(chunk))
             rows.update(
                 (row[0], row)
                 for row in self._conn.execute(
-                    f"SELECT * FROM runs WHERE scenario_hash IN ({_marks(chunk)})", chunk
+                    f"SELECT * FROM runs WHERE scenario_hash IN ({marks})", chunk
                 )
             )
         hits = [
             hash_ in rows and _describes(rows[hash_][7], canonical)  # 7: scenario_json
             for hash_, canonical in keys
         ]
-        hit_hashes = list(dict.fromkeys(hash_ for (hash_, _), hit in zip(keys, hits) if hit))
-        metrics = self._metrics_for(hit_hashes)
-        loaded = {hash_: self._load(rows[hash_], metrics.get(hash_, {})) for hash_ in hit_hashes}
+        loaded = {hash_: self._load(rows[hash_]) for (hash_, _), hit in zip(keys, hits) if hit}
         return [loaded[hash_] if hit else None for (hash_, _), hit in zip(keys, hits)]
 
     def runs(
@@ -502,10 +511,7 @@ class ResultStore:
         query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY name, routing, placement, seed"
         rows = self._conn.execute(query, params).fetchall()
-        metrics = self._metrics_for([row[0] for row in rows])
-        return filter_runs(
-            [self._load(row, metrics.get(row[0], {})) for row in rows], application, **rest
-        )
+        return filter_runs([self._load(row) for row in rows], application, **rest)
 
     def runs_named(self, base: str, **filters: Any) -> List[StoredResult]:
         """Runs named exactly ``base`` or a grid expansion ``base[...]``.
@@ -588,25 +594,10 @@ class ResultStore:
         return out
 
     # --------------------------------------------------------------- helpers
-    def _metrics_for(self, hashes: Sequence[str]) -> Dict[str, Dict[str, float]]:
-        """Metrics of many runs, one query per 500 hashes: hash -> flat metrics.
-
-        SQLite builds the flat ``metric[/app]`` keys, so no row goes through
-        :func:`~repro.results.schema.join_metric`.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        for chunk in _chunks(hashes):
-            for hash_, key, value in self._conn.execute(
-                f"SELECT scenario_hash, {_METRIC_KEY_SQL}, value FROM metrics "
-                f"WHERE scenario_hash IN ({_marks(chunk)})",
-                chunk,
-            ):
-                out.setdefault(hash_, {})[key] = value
-        return out
-
     @staticmethod
-    def _load(row: tuple, metrics: Dict[str, float]) -> StoredResult:
-        (hash_, name, jobs, routing, placement, seed, _version, scenario_json, wall, created) = row
+    def _load(row: tuple) -> StoredResult:
+        (hash_, name, jobs, routing, placement, seed, _version, scenario_json, wall, created,
+         metrics) = row
         return StoredResult(
             scenario_hash=hash_,
             name=name,
@@ -615,7 +606,7 @@ class ResultStore:
             placement=placement,
             seed=int(seed),
             scenario_json=scenario_json,
-            metrics=metrics,
+            metrics=json.loads(metrics),
             wall_seconds=float(wall),
             created_at=created,
         )

@@ -2,6 +2,7 @@
 
 import json
 import sqlite3
+import struct
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,14 @@ from repro.experiments.scenario import (
     table1_scenario,
 )
 from repro.experiments.sweep import run_sweep
-from repro.results import ResultStore, flatten_run, join_metric, mean_metric, split_metric
+from repro.results import (
+    ResultStore,
+    StoreSchemaError,
+    flatten_run,
+    join_metric,
+    mean_metric,
+    split_metric,
+)
 
 
 def _tiny_scenario(name="test/UR", routing="par", seed=1, scale=0.2) -> Scenario:
@@ -77,7 +85,7 @@ def test_store_record_and_get_round_trip(tmp_path):
         assert len(store) == 1
         stored = store.get(scenario)
         assert stored.metrics == FAKE_METRICS
-        # NUMERIC affinity: ints stay ints, floats stay floats.
+        # The JSON column keeps ints as ints and floats as floats.
         assert isinstance(stored.metrics["events_fired"], int)
         assert isinstance(stored.metrics["makespan_ns"], float)
         assert stored.name == "test/UR"
@@ -117,6 +125,80 @@ def test_store_get_rejects_tampered_scenario(tmp_path):
     conn.close()
     with ResultStore(path) as store:
         assert store.get(scenario) is None
+
+
+#: Values a plain SQLite column loses or changes: NaN (stored as NULL),
+#: the sign of zero, ``1`` vs ``1.0``, and ints past 64 bits.
+EDGE_METRICS = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "neg_inf": float("-inf"),
+    "neg_zero": -0.0,
+    "one": 1,
+    "one_float": 1.0,
+    "large": 2**70 + 1,
+    "tiny/UR": 5e-324,
+}
+
+
+def _bits(value):
+    return (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
+
+
+def test_store_round_trips_every_value_exactly_after_reopen(tmp_path):
+    path = tmp_path / "r.sqlite"
+    scenario = _tiny_scenario()
+    with ResultStore(path) as store:
+        assert store.record(scenario, EDGE_METRICS)
+    with ResultStore(path) as store:
+        [run] = store.runs()
+        for stored in (store.get(scenario).metrics, run.metrics):
+            assert sorted(stored) == sorted(EDGE_METRICS)
+            assert {key: _bits(value) for key, value in stored.items()} == {
+                key: _bits(value) for key, value in EDGE_METRICS.items()
+            }
+        # A backfill keeps the recorded values bit for bit.
+        assert not store.record(scenario, {"nan": 0.0, "added": 2})
+        merged = store.get(scenario).metrics
+        assert _bits(merged["nan"]) == _bits(float("nan")) and merged["added"] == 2
+
+
+def _schema_1_store(path: Path, version: str = "1") -> None:
+    """A store file in the layout of schema version 1 (one row per metric),
+    its ``meta`` table saying ``version``."""
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        CREATE TABLE runs (
+            scenario_hash TEXT PRIMARY KEY, name TEXT NOT NULL, jobs TEXT NOT NULL,
+            routing TEXT NOT NULL, placement TEXT NOT NULL, seed INTEGER NOT NULL,
+            cache_version INTEGER NOT NULL, scenario_json TEXT NOT NULL,
+            wall_seconds REAL NOT NULL, created_at TEXT NOT NULL
+        );
+        CREATE TABLE metrics (
+            scenario_hash TEXT NOT NULL, app TEXT NOT NULL DEFAULT '',
+            metric TEXT NOT NULL, value NOT NULL,
+            PRIMARY KEY (scenario_hash, app, metric)
+        ) WITHOUT ROWID;
+        """
+    )
+    conn.execute("INSERT INTO meta VALUES ('schema_version', ?)", (version,))
+    conn.commit()
+    conn.close()
+
+
+@pytest.mark.parametrize("version", ["1", "2"], ids=["schema-1", "metrics-table-under-2"])
+def test_store_of_another_layout_fails_loudly(tmp_path, capsys, version):
+    path = tmp_path / "old.sqlite"
+    _schema_1_store(path, version)
+    with pytest.raises(StoreSchemaError, match="delete it and re-sweep") as raised:
+        ResultStore(path)
+    assert isinstance(raised.value, sqlite3.DatabaseError)
+    assert str(path) in str(raised.value)
+    assert main(["report", "table1", "--store", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "delete it and re-sweep" in err
 
 
 def test_store_query_filters():

@@ -119,9 +119,8 @@ def test_get_many_reads_grids_over_500_cells_in_chunks():
     assert [run is not None for run in found] == [True] * 1050 + [False] * 50
     assert [run.metrics for run in found[:1050]] == [_metrics(index) for index in range(1050)]
     assert [run.name for run in found[:1050]] == [cell.name for cell in cells[:1050]]
-    # 1,100 distinct hashes take three runs statements, 1,050 hits three
-    # metrics statements.
-    assert len(executed) == 6
+    # 1,100 distinct hashes take three runs statements, metrics included.
+    assert len(executed) == 3
 
 
 # ------------------------------------------------------- statement counts
@@ -136,7 +135,7 @@ def test_warm_sweep_reads_the_grid_in_constant_statements():
         assert all(result.cached for result in results)
         assert [result.metrics for result in results] == [_metrics(i) for i in range(size)]
         counts[size] = len(executed)
-    assert counts[4] == counts[40] <= 2
+    assert counts[4] == counts[40] == 1
 
 
 def _comm(app: str, mean: float) -> dict:
@@ -192,10 +191,10 @@ def report_store():
         ("pairwise/FFT3D", {}),
     ],
 )
-def test_report_reads_its_runs_in_at_most_two_statements(report_store, name, filters):
+def test_report_reads_its_runs_in_one_statement(report_store, name, filters):
     executed, text = _statements(report_store, lambda: build_report(report_store, name, **filters))
     assert "---" in text
-    assert len(executed) <= 2, executed
+    assert len(executed) == 1, executed
 
 
 # ------------------------------------------------------------ name prefixes

@@ -272,6 +272,16 @@ def test_replay_overrides_change_conditions_not_traffic(tmp_path):
     assert metrics[f"total_msg_bytes{METRIC_SEP}trace"] > 0
 
 
+def test_cli_replay_rejects_a_bad_override_with_exit_2(tmp_path, capsys):
+    from repro.cli import main
+
+    path = _hand_trace().dump(tmp_path / "hand.trace.jsonl")
+    assert main(["trace", "replay", str(path), "--routing", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "bogus" in captured.err
+    assert not captured.out
+
+
 # ------------------------------------------------- scenario hash integration
 def test_file_backed_trace_job_serializes_its_content_hash(tmp_path):
     _, traces = record_scenario(_tiny_scenario("FFT3D", "par"))
