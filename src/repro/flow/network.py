@@ -76,15 +76,19 @@ _MIN_RATE = 1e-9
 _ADAPTIVE_ALGORITHMS = frozenset({"ugal-g", "ugal-n", "par", "q-adaptive"})
 
 
-class _FlowLink:
-    """One directed bandwidth resource and the flows currently crossing it."""
+class _FlowLink(list["_Flow"]):
+    """One directed bandwidth resource: the list of the flows currently
+    crossing it, in start order (determinism).
 
-    __slots__ = ("capacity", "flows", "residual", "unfrozen", "epoch")
+    Being its own flow list saves a list object per link.  As a list it
+    compares by content and cannot be hashed, so links are told apart with
+    ``is`` and epoch marks, never ``==`` or sets.
+    """
+
+    __slots__ = ("capacity", "residual", "unfrozen", "epoch")
 
     def __init__(self, capacity: float):
         self.capacity = capacity
-        #: The flows crossing the link, in start order (determinism).
-        self.flows: List["_Flow"] = []
         # Progressive-filling scratch state.
         self.residual = capacity
         self.unfrozen = 0
@@ -161,10 +165,12 @@ class FlowNetwork:
         self._capacity = config.system.link_bandwidth_bytes_per_ns
         #: Bandwidth resources are created lazily — a 100k-node system only
         #: materializes the links its traffic actually crosses.  Inter-router
-        #: links by ``(src_router, dst_router)``, terminal links by node id.
+        #: links by ``(src_router, dst_router)``; terminal links in one slot
+        #: per node (8 B each), ``None`` until the node first sends/receives.
         self._links: Dict[Tuple[int, int], _FlowLink] = {}
-        self._inj_links: Dict[int, _FlowLink] = {}
-        self._ej_links: Dict[int, _FlowLink] = {}
+        num_nodes = self.topology.num_nodes
+        self._inj_links: List[Optional[_FlowLink]] = [None] * num_nodes
+        self._ej_links: List[Optional[_FlowLink]] = [None] * num_nodes
         #: Minimal-route cache: ``src_router * R + dst_router`` -> (inter-
         #: router links, path latency).  Minimal paths are static, so under
         #: minimal routing the per-message path work collapses to one dict
@@ -210,7 +216,7 @@ class FlowNetwork:
         self._flows[message.msg_id] = flow
         self._changed.append(flow)
         for link in links:
-            link.flows.append(flow)
+            link.append(flow)
         self.stats.record_message_injected(message)
         self._mark_dirty()
         return message
@@ -268,7 +274,7 @@ class FlowNetwork:
         for here, there in zip(path, path[1:]):
             link = links.get((here, there))
             if link is not None:
-                load += len(link.flows)
+                load += len(link)
         return float(load)
 
     def _path_links(
@@ -296,11 +302,10 @@ class FlowNetwork:
             self._links[key] = link
         return link
 
-    def _terminal_link(self, cache: Dict[int, _FlowLink], node: int) -> _FlowLink:
-        link = cache.get(node)
+    def _terminal_link(self, links: List[Optional[_FlowLink]], node: int) -> _FlowLink:
+        link = links[node]
         if link is None:
-            link = _FlowLink(self._capacity)
-            cache[node] = link
+            link = links[node] = _FlowLink(self._capacity)
         return link
 
     def _minimal_route(
@@ -376,9 +381,7 @@ class FlowNetwork:
             for link in flow.links:
                 if link.epoch != epoch:
                     link.epoch = epoch
-                    link.flows = [
-                        other for other in link.flows if other.remaining > _EPS_BYTES
-                    ]
+                    link[:] = [other for other in link if other.remaining > _EPS_BYTES]
             message.inject_end_time = self.sim.now
             # The tail of the pipelined transfer arrives one path latency
             # after the last byte left the source.
@@ -416,15 +419,15 @@ class FlowNetwork:
         links: List[_FlowLink] = []
         for seed in seeds:
             for link in seed.links:
-                if link.flows and link.epoch != epoch:
+                if link and link.epoch != epoch:
                     link.epoch = epoch
                     links.append(link)
         # A breadth-first worklist: the loop also visits links appended to
         # ``links`` while it runs.
         for link in links:
             link.residual = link.capacity
-            link.unfrozen = len(link.flows)
-            for flow in link.flows:
+            link.unfrozen = len(link)
+            for flow in link:
                 if flow.epoch != epoch:
                     flow.epoch = epoch
                     flow.frozen = False
@@ -476,7 +479,7 @@ class FlowNetwork:
             epoch += 1
             touched: List[_FlowLink] = []
             for link in bottlenecks:
-                for flow in link.flows:
+                for flow in link:
                     if flow.frozen:
                         continue
                     flow.frozen = True

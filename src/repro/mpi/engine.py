@@ -20,7 +20,7 @@ only then move the payload (rendezvous).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Iterator, List, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Generator, Iterator, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.traces.recorder import TraceRecorder
@@ -51,6 +51,9 @@ _COMPUTE_DONE = EventKind.COMPUTE_DONE
 _DATA = MessageKind.DATA
 _RTS = MessageKind.RTS
 _CTS = MessageKind.CTS
+#: Completes a request as ``_complete(request, time)``.  Calendar events that
+#: complete one carry this plain function and a 2-tuple, not a bound method.
+_complete = MpiRequest.complete
 
 
 class ComputeOp:
@@ -128,7 +131,7 @@ class MpiJob:
 class RankContext:
     """Per-rank API handed to workload programs."""
 
-    __slots__ = ("engine", "job", "rank", "node", "_collective_seq", "_iteration_stack")
+    __slots__ = ("engine", "job", "rank", "node", "_collective_seq", "_iteration", "_enclosing")
 
     def __init__(self, engine: "MpiEngine", job: MpiJob, rank: int):
         self.engine = engine
@@ -136,7 +139,10 @@ class RankContext:
         self.rank = rank
         self.node = job.node_of(rank)
         self._collective_seq = 0
-        self._iteration_stack: List[IterationRecord] = []
+        #: The innermost open iteration, and the ones it is nested in
+        #: (outermost first; a list only once iterations nest).
+        self._iteration: Optional[IterationRecord] = None
+        self._enclosing: Optional[List[IterationRecord]] = None
 
     # ----------------------------------------------------------- properties
     @property
@@ -224,15 +230,20 @@ class RankContext:
     def begin_iteration(self, iteration: int) -> None:
         """Timestamp the start of one application iteration."""
         record = IterationRecord(rank=self.rank, iteration=iteration, start_time=self.now)
-        self._iteration_stack.append(record)
+        if self._iteration is not None:
+            if self._enclosing is None:
+                self._enclosing = []
+            self._enclosing.append(self._iteration)
+        self._iteration = record
         self.job.record.iterations.append(record)
 
     def end_iteration(self) -> None:
         """Timestamp the end of the innermost open iteration."""
-        if not self._iteration_stack:
+        record = self._iteration
+        if record is None:
             raise RuntimeError("end_iteration() called without begin_iteration()")
-        record = self._iteration_stack.pop()
         record.end_time = self.now
+        self._iteration = self._enclosing.pop() if self._enclosing else None
 
 
 class _RankState:
@@ -272,7 +283,8 @@ class MpiEngine:
         self._ranks: List[List[_RankState]] = []
         #: Per job: one mailbox per rank.
         self._mailboxes: List[List[MailBox]] = []
-        self._occupied: Set[int] = set()
+        #: One flag per node of the system: set once a job holds the node.
+        self._occupied = bytearray(network.num_nodes)
         #: Optional observer mirroring every executed primitive into a trace
         #: (see repro.traces).  Pure observation: attaching one never changes
         #: the simulation.
@@ -297,11 +309,12 @@ class MpiEngine:
         for node in nodes:
             if not 0 <= node < self.network.num_nodes:
                 raise ValueError(f"node {node} does not exist in this system")
-            if node in self._occupied:
+            if self._occupied[node]:
                 raise ValueError(f"node {node} is already occupied by another job")
         job = MpiJob(len(self.jobs), name, nodes, application=application, start_time=start_time)
         self.jobs.append(job)
-        self._occupied.update(nodes)
+        for node in nodes:
+            self._occupied[node] = 1
         self._ranks.append([])
         self._mailboxes.append([MailBox() for _ in nodes])
         self.network.stats.register_application(job.record)
@@ -328,12 +341,12 @@ class MpiEngine:
     def _start_job(self, job: MpiJob) -> None:
         """Instantiate and advance every rank program of one job, now."""
         states = self._ranks[job.job_id]
+        job.record.start_time = self.sim.now
         for rank in range(job.num_ranks):
             context = RankContext(self, job, rank)
             generator = job.application.program(context)
             state = _RankState(job, rank, context, generator)
             states.append(state)
-            job.record.start_time[rank] = self.sim.now
             self._advance(state, None)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -430,12 +443,13 @@ class MpiEngine:
         now = sim.now
         if self.recorder is not None:
             self.recorder.record_send(job, src_rank, dst_rank, size_bytes, tag, request, now)
-        job.record.record_send(src_rank, size_bytes)
+        job.record.record_send(size_bytes)
+        # An eager or loopback send completes after a small software overhead.
+        done = now + self.config.message_overhead_ns
 
         if dst_rank == src_rank:
-            # Loopback: no network involvement, a small software overhead only.
-            done = now + self.config.message_overhead_ns
-            sim.push(done, request.complete, (now,))
+            # Loopback: no network involvement.
+            sim.push(done, _complete, (request, done))
             envelope = Envelope(src_rank, dst_rank, tag, size_bytes)
             sim.push(done, self._arrive_eager, (job, envelope))
             return request
@@ -454,7 +468,7 @@ class MpiEngine:
             )
             self.network.send_message(message)
             # Eager sends complete locally once the NIC has buffered the data.
-            sim.push(now + self.config.message_overhead_ns, request.complete, (now,))
+            sim.push(done, _complete, (request, done))
         else:
             rts = Message(
                 src_node,

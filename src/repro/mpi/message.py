@@ -122,37 +122,49 @@ class MailBox:
 
     ``unexpected`` holds envelopes of messages (eager data or rendezvous RTS)
     that arrived before a matching receive was posted; the envelope's type
-    says which protocol step runs once it is matched.
+    says which protocol step runs once it is matched.  Each queue is created
+    on its first entry: many ranks only ever post, or only ever find their
+    receives posted.
     """
 
     __slots__ = ("posted", "unexpected")
 
     def __init__(self) -> None:
-        self.posted: List[RecvRequest] = []
-        self.unexpected: List[Envelope] = []
+        self.posted: Optional[List[RecvRequest]] = None
+        self.unexpected: Optional[List[Envelope]] = None
 
     def post(self, request: RecvRequest) -> Optional[Envelope]:
         """Post a receive; returns the first unexpected envelope it matches."""
-        for index, envelope in enumerate(self.unexpected):
-            if envelope.matches(request.src_rank, request.tag):
-                del self.unexpected[index]
-                return envelope
-        self.posted.append(request)
+        unexpected = self.unexpected
+        if unexpected:
+            for index, envelope in enumerate(unexpected):
+                if envelope.matches(request.src_rank, request.tag):
+                    del unexpected[index]
+                    return envelope
+        if self.posted is None:
+            self.posted = [request]
+        else:
+            self.posted.append(request)
         return None
 
     def match_arrival(self, envelope: Envelope) -> Optional[RecvRequest]:
         """Match an arriving envelope against posted receives (FIFO order)."""
-        for index, request in enumerate(self.posted):
-            if envelope.matches(request.src_rank, request.tag):
-                del self.posted[index]
-                return request
+        posted = self.posted
+        if posted:
+            for index, request in enumerate(posted):
+                if envelope.matches(request.src_rank, request.tag):
+                    del posted[index]
+                    return request
         return None
 
     def store_unexpected(self, envelope: Envelope) -> None:
         """Queue an arrival that found no posted receive."""
-        self.unexpected.append(envelope)
+        if self.unexpected is None:
+            self.unexpected = [envelope]
+        else:
+            self.unexpected.append(envelope)
 
     @property
     def pending(self) -> int:
         """Posted receives not yet matched (used by drain checks in tests)."""
-        return len(self.posted)
+        return len(self.posted) if self.posted else 0

@@ -176,8 +176,8 @@ def flatten_run(result: "RunResult") -> Dict[str, Number]:
         metrics[join_metric("total_msg_bytes", name)] = int(record.total_bytes_sent)
         metrics[join_metric("injection_rate_gbps", name)] = injection_rate_gbps(record)
         metrics[join_metric("peak_ingress_bytes", name)] = int(application.peak_ingress_bytes())
-        if record.start_time:
-            metrics[join_metric("start_time_ns", name)] = float(min(record.start_time.values()))
+        if record.start_time is not None:
+            metrics[join_metric("start_time_ns", name)] = float(record.start_time)
         if record.finish_time:
             metrics[join_metric("finish_time_ns", name)] = float(max(record.finish_time.values()))
         pattern_metrics = getattr(application, "pattern_metrics", None)

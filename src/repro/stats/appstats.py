@@ -43,23 +43,24 @@ class ApplicationRecord:
     name: str
     num_ranks: int
 
-    #: Total bytes each rank handed to the network (sends only).
-    bytes_sent: Dict[int, int] = field(default_factory=dict)
+    #: Total payload bytes every rank handed to the network (sends only).
+    total_bytes_sent: int = 0
     #: Cumulative time each rank spent blocked in communication calls, ns.
     comm_time: Dict[int, float] = field(default_factory=dict)
     #: Cumulative time each rank spent in compute phases, ns.
     compute_time: Dict[int, float] = field(default_factory=dict)
     #: Simulation time at which each rank finished its program, ns.
     finish_time: Dict[int, float] = field(default_factory=dict)
-    #: Simulation time at which each rank started its program, ns.
-    start_time: Dict[int, float] = field(default_factory=dict)
+    #: Simulation time at which the job's rank programs started (all at
+    #: once), ns; ``None`` until they do.
+    start_time: Optional[float] = None
     #: Per-iteration details (optional, can grow large).
     iterations: List[IterationRecord] = field(default_factory=list)
 
     # ------------------------------------------------------------ recording
-    def record_send(self, rank: int, num_bytes: int) -> None:
-        """Charge ``num_bytes`` of sent payload to ``rank``."""
-        self.bytes_sent[rank] = self.bytes_sent.get(rank, 0) + num_bytes
+    def record_send(self, num_bytes: int) -> None:
+        """Charge ``num_bytes`` of sent payload to the application."""
+        self.total_bytes_sent += num_bytes
 
     def add_comm_time(self, rank: int, duration: float) -> None:
         """Add blocked communication time to ``rank``."""
@@ -71,11 +72,6 @@ class ApplicationRecord:
 
     # ------------------------------------------------------------ summaries
     @property
-    def total_bytes_sent(self) -> int:
-        """Total payload bytes sent by every rank."""
-        return int(sum(self.bytes_sent.values()))
-
-    @property
     def finished(self) -> bool:
         """Whether every rank has completed its program."""
         return len(self.finish_time) == self.num_ranks and self.num_ranks > 0
@@ -83,9 +79,9 @@ class ApplicationRecord:
     @property
     def execution_time(self) -> float:
         """Makespan of the application: last finish minus first start, ns."""
-        if not self.finish_time or not self.start_time:
+        if not self.finish_time or self.start_time is None:
             return 0.0
-        return max(self.finish_time.values()) - min(self.start_time.values())
+        return max(self.finish_time.values()) - self.start_time
 
     def comm_times(self) -> np.ndarray:
         """Per-rank communication times as an array (ns)."""

@@ -42,7 +42,7 @@ from repro.flow import (
     fidelity_names,
     resolve_fidelity,
 )
-from repro.flow.network import _MIN_RATE, FlowNetwork
+from repro.flow.network import _MIN_RATE, FlowNetwork, _Flow, _FlowLink
 from repro.network.network import DragonflyNetwork
 from repro.network.packet import Message
 from repro.results import ResultStore, flatten_run
@@ -255,13 +255,34 @@ def test_late_arrival_rerates_the_running_flow():
     )
 
 
+@pytest.mark.parametrize("gap,rounds", [(4e-13, 1), (4e-12, 2)])
+def test_fill_ties_shares_within_1e_12_relative_at_the_lower_one(gap, rounds):
+    """Two bottlenecks whose fair shares differ by less than 1e-12 relative
+    freeze in one filling round at the lower share; a wider gap is two."""
+    _, network = _flow_network()
+    shares = [1.0, 1.0 + gap]
+    flows = []
+    for share in shares:
+        link = _FlowLink(share)
+        flow = _Flow(Message(src_node=0, dst_node=1, size_bytes=1000), [link], 0.0)
+        link.append(flow)
+        flows.append(flow)
+    epoch = network._epoch
+    network._changed = list(flows)
+    network._compute_rates()
+    # One epoch for the component search, one per filling round.
+    assert network._epoch - epoch - 1 == rounds
+    expected = [shares[0]] * 2 if rounds == 1 else shares
+    assert [flow.rate for flow in flows] == expected
+
+
 def _reference_rates(flows):
     """Max-min rates of ``flows`` by progressive filling of all their links
     at once, each round's bottlenecks found by scanning them all (the solver
     before it re-filled only the components a change touches)."""
     links = {id(link): link for flow in flows for link in flow.links}
     residual = {key: link.capacity for key, link in links.items()}
-    unfrozen = {key: len(link.flows) for key, link in links.items()}
+    unfrozen = {key: len(link) for key, link in links.items()}
     rates = {}
     while len(rates) < len(flows):
         share = min(residual[key] / unfrozen[key] for key in links if unfrozen[key] > 0)
@@ -273,7 +294,7 @@ def _reference_rates(flows):
             if unfrozen[key] > 0 and residual[key] / unfrozen[key] <= threshold
         ]
         for key in bottlenecks:
-            for flow in links[key].flows:
+            for flow in links[key]:
                 if flow.message.msg_id in rates:
                     continue
                 rates[flow.message.msg_id] = share
@@ -290,7 +311,7 @@ def _component_flows(seeds):
     reached = {id(link) for link in links}
     flows = {}
     for link in links:  # a worklist: grows while it is walked
-        for flow in link.flows:
+        for flow in link:
             if flow.message.msg_id not in flows:
                 flows[flow.message.msg_id] = flow
                 for crossed in flow.links:
@@ -325,9 +346,9 @@ class _CheckedFlowNetwork(FlowNetwork):
             # Max-min: some link of the flow is saturated, and no flow
             # crossing it gets more than this one.
             assert any(
-                sum(other.rate for other in link.flows)
+                sum(other.rate for other in link)
                 >= link.capacity * (1 - 1e-9)
-                and max(other.rate for other in link.flows)
+                and max(other.rate for other in link)
                 <= flow.rate * (1 + 1e-9)
                 for link in flow.links
             ), flow.message

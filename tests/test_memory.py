@@ -28,8 +28,13 @@ from repro.network.network import DragonflyNetwork
 #: Measured on CPython 3.11 (x86-64): 4,785 B/rank with a closure per wait,
 #: a dict per flow link and a dict payload per message; 2,787 B/rank with a
 #: single waiter per request, list-valued link flows and one envelope per
-#: message.  The bound sits between the two.
-MAX_BYTES_PER_RANK = 3_800
+#: message; 2,311 B/rank once mailbox queues and nested-iteration lists are
+#: made on first use, eager completions carry no bound method, terminal
+#: links sit in per-node lists, a flow link is its own flow list and the
+#: application record keeps one byte total and one start time.  The bound
+#: sits above 2,787 because CPython 3.10, also tested but not measured,
+#: keeps each suspended generator's frame in a separate, larger object.
+MAX_BYTES_PER_RANK = 3_000
 
 
 def _traced_peak(ranks: int) -> int:

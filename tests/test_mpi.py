@@ -10,6 +10,7 @@ from repro.flow.network import FlowNetwork
 from repro.mpi.message import ANY_SOURCE, ANY_TAG, Envelope, MailBox, RecvRequest, Rendezvous
 from repro.network.network import DragonflyNetwork
 from repro.network.packet import MessageKind
+from repro.traces.recorder import TraceRecorder
 
 
 def _engine(seed=1, eager_threshold=4096, fidelity="packet"):
@@ -140,6 +141,82 @@ def test_self_send_completes_without_network_traffic():
     engine.add_job("solo", [3], application=_Program({0: loopback}))
     _run(engine)
     assert network.stats.total_packets_injected == 0
+
+
+@pytest.mark.parametrize("dst", [0, 1], ids=["loopback", "eager"])
+def test_eager_send_completes_one_message_overhead_after_it_is_issued(dst):
+    """An eager or loopback send completes, and its waiting rank resumes,
+    one software overhead after the isend; a loopback's receive too."""
+    sim, network, engine = _engine()
+    overhead = network.config.message_overhead_ns
+    requests = {}
+    resumed = []
+
+    def sender(ctx):
+        requests["send"] = ctx.isend(dst, 256, tag=1)
+        if dst == 0:
+            requests["recv"] = ctx.irecv(0, tag=1)
+        yield ctx.wait(requests["send"])
+        resumed.append(ctx.now)
+
+    def receiver(ctx):
+        yield ctx.recv(0, tag=1)
+
+    programs = {0: sender, 1: receiver}
+    engine.add_job("pair", [0, 5][: dst + 1], application=_Program(programs))
+    _run(engine)
+    assert overhead > 0
+    assert requests["send"].completion_time == overhead
+    assert resumed == [overhead]
+    if dst == 0:
+        assert requests["recv"].completion_time == overhead
+
+
+def test_zero_time_compute_advances_nothing_and_is_not_recorded():
+    sim, network, engine = _engine()
+    recorded = []
+
+    class Recorder(TraceRecorder):
+        def record_compute(self, job, rank, duration_ns, t_ns):
+            recorded.append(duration_ns)
+            super().record_compute(job, rank, duration_ns, t_ns)
+
+    engine.recorder = Recorder()
+    resumed = []
+
+    def program(ctx):
+        yield ctx.compute(0)
+        resumed.append(ctx.now)
+
+    job = engine.add_job("solo", [3], application=_Program({0: program}))
+    _run(engine)
+    assert resumed == [0.0]
+    assert sim.now == 0.0 and sim.events_fired == 0
+    assert job.record.compute_time == {}
+    assert recorded == []
+
+
+def test_nested_iterations_end_innermost_first():
+    sim, network, engine = _engine()
+
+    def program(ctx):
+        ctx.begin_iteration(0)
+        yield ctx.compute(100)
+        ctx.begin_iteration(1)
+        yield ctx.compute(200)
+        ctx.begin_iteration(2)
+        yield ctx.compute(300)
+        ctx.end_iteration()
+        ctx.end_iteration()
+        yield ctx.compute(400)
+        ctx.end_iteration()
+        with pytest.raises(RuntimeError, match="without begin_iteration"):
+            ctx.end_iteration()
+
+    job = engine.add_job("solo", [3], application=_Program({0: program}))
+    _run(engine)
+    spans = [(r.iteration, r.start_time, r.end_time) for r in job.record.iterations]
+    assert spans == [(0, 0.0, 1000.0), (1, 100.0, 600.0), (2, 300.0, 600.0)]
 
 
 def test_nonblocking_overlap_hides_communication_behind_compute():

@@ -221,11 +221,11 @@ def test_port_stall_on_unwired_port_attributed_by_topology():
 # --------------------------------------------------------------- app record
 def test_application_record_statistics():
     record = ApplicationRecord(app_id=1, name="demo", num_ranks=3)
+    record.start_time = 0.0
     for rank, value in enumerate([10.0, 20.0, 30.0]):
         record.add_comm_time(rank, value)
         record.add_compute_time(rank, 5.0)
-        record.record_send(rank, 1000)
-        record.start_time[rank] = 0.0
+        record.record_send(1000)
         record.finish_time[rank] = 100.0 + rank
     assert record.finished
     assert record.mean_comm_time == pytest.approx(20.0)

@@ -466,8 +466,8 @@ def test_staggered_scenario_runs_and_delays_the_job():
     assert result.completed
     target = result.record("FFT3D")
     background = result.record("Halo3D")
-    assert min(target.start_time.values()) == 40_000.0
-    assert min(background.start_time.values()) == 0.0
+    assert target.start_time == 40_000.0
+    assert background.start_time == 0.0
 
 
 def test_expand_grid_start_times_and_job_knobs_axes():
