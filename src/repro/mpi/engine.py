@@ -129,9 +129,26 @@ class MpiJob:
 
 
 class RankContext:
-    """Per-rank API handed to workload programs."""
+    """Per-rank API handed to workload programs, and the rank's execution state.
 
-    __slots__ = ("engine", "job", "rank", "node", "_collective_seq", "_iteration", "_enclosing")
+    The engine drives the rank's generator program through its context.
+    While the program waits, the context is the ``waiter`` of every request
+    it waits on: each completion counts ``pending`` down, the last resumes it.
+    """
+
+    __slots__ = (
+        "engine",
+        "job",
+        "rank",
+        "node",
+        "_collective_seq",
+        "_iteration",
+        "_enclosing",
+        "generator",
+        "block_start",
+        "pending",
+        "finished",
+    )
 
     def __init__(self, engine: "MpiEngine", job: MpiJob, rank: int):
         self.engine = engine
@@ -143,6 +160,16 @@ class RankContext:
         #: (outermost first; a list only once iterations nest).
         self._iteration: Optional[IterationRecord] = None
         self._enclosing: Optional[List[IterationRecord]] = None
+        #: The rank's program, set by the engine when the job starts.
+        self.generator: Optional[RankProgram] = None
+        self.block_start: Optional[float] = None
+        self.pending: int = 0
+        self.finished = False
+
+    def __call__(self, request: MpiRequest) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.engine._resume(self)
 
     # ----------------------------------------------------------- properties
     @property
@@ -246,30 +273,6 @@ class RankContext:
         self._iteration = self._enclosing.pop() if self._enclosing else None
 
 
-class _RankState:
-    """Execution state of one rank's generator program.
-
-    While the program waits, the state is the ``waiter`` of every request it
-    waits on: each completion counts ``pending`` down, the last resumes it.
-    """
-
-    __slots__ = ("job", "rank", "context", "generator", "block_start", "pending", "finished")
-
-    def __init__(self, job: MpiJob, rank: int, context: RankContext, generator: RankProgram):
-        self.job = job
-        self.rank = rank
-        self.context = context
-        self.generator = generator
-        self.block_start: Optional[float] = None
-        self.pending: int = 0
-        self.finished = False
-
-    def __call__(self, request: MpiRequest) -> None:
-        self.pending -= 1
-        if not self.pending:
-            self.context.engine._resume(self)
-
-
 class MpiEngine:
     """Drives every job's rank programs over one Dragonfly network."""
 
@@ -279,8 +282,8 @@ class MpiEngine:
         self.config = network.config
         self.jobs: List[MpiJob] = []
         self._started = False
-        #: Per job: the rank states, filled when the job starts.
-        self._ranks: List[List[_RankState]] = []
+        #: Per job: the rank contexts, filled when the job starts.
+        self._ranks: List[List[RankContext]] = []
         #: Per job: one mailbox per rank.
         self._mailboxes: List[List[MailBox]] = []
         #: One flag per node of the system: set once a job holds the node.
@@ -343,9 +346,8 @@ class MpiEngine:
         states = self._ranks[job.job_id]
         job.record.start_time = self.sim.now
         for rank in range(job.num_ranks):
-            context = RankContext(self, job, rank)
-            generator = job.application.program(context)
-            state = _RankState(job, rank, context, generator)
+            state = RankContext(self, job, rank)
+            state.generator = job.application.program(state)
             states.append(state)
             self._advance(state, None)
 
@@ -373,7 +375,7 @@ class MpiEngine:
         )
 
     # -------------------------------------------------------- program driver
-    def _advance(self, state: _RankState, value: Optional[object]) -> None:
+    def _advance(self, state: RankContext, value: Optional[object]) -> None:
         """Resume a rank program until it blocks, computes or finishes."""
         while True:
             try:
@@ -423,7 +425,7 @@ class MpiEngine:
                 f"rank program yielded {operation!r}; expected a ComputeOp or WaitOp"
             )
 
-    def _resume(self, state: _RankState) -> None:
+    def _resume(self, state: RankContext) -> None:
         """Resume a rank whose wait has completed, charging the blocked time."""
         if state.block_start is not None:
             state.job.record.add_comm_time(state.rank, self.sim.now - state.block_start)

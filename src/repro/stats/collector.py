@@ -10,7 +10,11 @@ fidelity, which has no packets.  To keep memory bounded for large runs,
 per-packet records can be disabled (``SimulationConfig.record_packets =
 False``), in which case only aggregate counters and binned series are kept
 — mirroring the coalescing IO-module configuration described in Section III
-of the paper.
+of the paper.  Records are kept as typed columns (stdlib ``array``), not
+objects: a recorded packet and a delivered message retain about 67 B
+together (CPython 3.11), against 298 B as a ``PacketRecord`` and a message
+tuple listed twice, each holding its own time floats.  ``packet_records``
+and ``message_log`` build their rows from the columns on demand.
 
 The collector is **measurement-window aware**: when the simulation config
 declares a steady-state window (``warmup_ns``/``measurement_ns``), injection
@@ -23,8 +27,9 @@ into a reported steady-state metric.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +67,21 @@ class PacketRecord:
         return self.eject_time - self.inject_time
 
 
+#: Typecode of each packet column, in ``PacketRecord`` field order.
+_PACKET_TYPECODES = ("i", "i", "i", "i", "d", "d", "i")
+#: Typecode of each message column: app, create, deliver and size.
+_MESSAGE_TYPECODES = ("i", "d", "d", "q")
+
+
+def _column(values: array) -> np.ndarray:
+    """A numpy view of one column.
+
+    While a view is alive the column cannot grow, so views never leave this
+    module: every array the collector returns is computed from them.
+    """
+    return np.frombuffer(values, dtype=values.typecode)
+
+
 class StatsCollector:
     """Accumulates application- and network-level metrics during a run."""
 
@@ -83,10 +103,12 @@ class StatsCollector:
         #: Per-link traffic: a view over the links, which count it themselves.
         self.link_traffic = LinkTrafficCounter()
 
-        #: Per-packet records (only if ``config.record_packets``).
-        self.packet_records: List[PacketRecord] = []
-        #: Per-application message delivery log: (create, deliver, size).
-        self.message_log: Dict[int, List[tuple]] = {}
+        #: Per-packet records as columns in ejection order, one per
+        #: ``PacketRecord`` field (only if ``config.record_packets``).
+        self._packets: Tuple[array, ...] = tuple(array(t) for t in _PACKET_TYPECODES)
+        #: Delivered messages as columns in delivery order: app, create,
+        #: deliver and size.
+        self._messages: Tuple[array, ...] = tuple(array(t) for t in _MESSAGE_TYPECODES)
         #: Per-application records registered by the workload layer.
         self.applications: Dict[int, ApplicationRecord] = {}
 
@@ -100,8 +122,6 @@ class StatsCollector:
         self.total_messages_delivered = 0
         #: Payload bytes of the injected messages.
         self.total_bytes_injected = 0
-        #: The message log's entries in delivery order, across applications.
-        self._deliveries: List[tuple] = []
         self._bin_ns = bin_ns
 
         # ------------------------------------------- measurement window state
@@ -125,7 +145,6 @@ class StatsCollector:
         self._app_series(self.ejected_bytes, record.app_id)
         self._app_series(self.injected_bytes, record.app_id)
         self._app_series(self.latency_series, record.app_id)
-        self.message_log.setdefault(record.app_id, [])
 
     def _app_series(self, table: Dict[int, BinnedSeries], app_id: int) -> BinnedSeries:
         series = table.get(app_id)
@@ -174,18 +193,17 @@ class StatsCollector:
         latency = packet.latency
         if latency is not None:
             self._app_series(self.latency_series, app_id).add(now, latency)
-        if self.config.record_packets and packet.inject_time is not None:
-            self.packet_records.append(
-                PacketRecord(
-                    app_id=app_id,
-                    src_node=packet.src_node,
-                    dst_node=packet.dst_node,
-                    size_bytes=size_bytes,
-                    inject_time=packet.inject_time,
-                    eject_time=packet.eject_time if packet.eject_time is not None else now,
-                    hops=packet.hop_count,
-                )
-            )
+        inject_time = packet.inject_time
+        if self.config.record_packets and inject_time is not None:
+            app, src, dst, size, inject, eject, hops = self._packets
+            app.append(app_id)
+            src.append(packet.src_node)
+            dst.append(packet.dst_node)
+            size.append(size_bytes)
+            inject.append(inject_time)
+            eject_time = packet.eject_time
+            eject.append(eject_time if eject_time is not None else now)
+            hops.append(packet.hop_count)
 
     def record_message_injected(self, message: Message) -> None:
         """A message was handed to the network at its source node."""
@@ -206,9 +224,11 @@ class StatsCollector:
             self.total_bytes_ejected += size_bytes
             if measured:
                 self.measured_bytes_ejected += size_bytes
-        entry = (message.create_time, now, size_bytes)
-        self.message_log.setdefault(message.app_id, []).append(entry)
-        self._deliveries.append(entry)
+        app, create, deliver, size = self._messages
+        app.append(message.app_id)
+        create.append(message.create_time)
+        deliver.append(now)
+        size.append(size_bytes)
 
     # reprolint: hot
     def record_port_stall(self, router: "Router", port: int, stall_ns: float, app_id: int) -> None:
@@ -224,12 +244,46 @@ class StatsCollector:
             kind = LinkKind[router.topology.port_kind(port).name]
         self.port_stall.add(router.router_id, port, kind, stall_ns, app_id)
 
+    # ------------------------------------------------------------ records
+    @property
+    def packet_records(self) -> List[PacketRecord]:
+        """Per-packet records in ejection order, built from the columns."""
+        return [PacketRecord(*row) for row in zip(*self._packets)]
+
+    @property
+    def message_log(self) -> Dict[int, List[tuple]]:
+        """Per-application (create, deliver, size) rows in delivery order.
+
+        Built from the columns on each read; every registered application
+        has an entry, even if it delivered nothing.
+        """
+        log: Dict[int, List[tuple]] = {app_id: [] for app_id in self.applications}
+        app, *rows = self._messages
+        for app_id, row in zip(app, zip(*rows)):
+            log.setdefault(app_id, []).append(row)
+        return log
+
     # ------------------------------------------------------------ summaries
+    def _window_mask(self, times: np.ndarray) -> np.ndarray:
+        """Which of ``times`` fall inside the window, as :meth:`in_measurement`."""
+        mask = times >= self.warmup_ns
+        if self.window_end_ns is not None:
+            mask &= times <= self.window_end_ns
+        return mask
+
+    def _packet_latencies(self, app_id: Optional[int], measured: bool) -> np.ndarray:
+        app, _, _, _, inject, eject, _ = self._packets
+        ejected = _column(eject)
+        latencies = ejected - _column(inject)
+        mask = self._window_mask(ejected) if measured else None
+        if app_id is not None:
+            of_app = _column(app) == app_id
+            mask = of_app if mask is None else mask & of_app
+        return latencies if mask is None else latencies[mask]
+
     def packet_latencies(self, app_id: Optional[int] = None) -> np.ndarray:
         """Array of packet latencies (ns), optionally for one application."""
-        if app_id is None:
-            return np.array([r.latency for r in self.packet_records])
-        return np.array([r.latency for r in self.packet_records if r.app_id == app_id])
+        return self._packet_latencies(app_id, measured=False)
 
     def measurement_packet_latencies(self, app_id: Optional[int] = None) -> np.ndarray:
         """Latencies of packets *ejected inside the measurement window* (ns).
@@ -238,28 +292,18 @@ class StatsCollector:
         left the network during warmup are excluded, so latency percentiles
         describe the measured window only.
         """
-        return np.array(
-            [
-                r.latency
-                for r in self.packet_records
-                if self.in_measurement(r.eject_time)
-                and (app_id is None or r.app_id == app_id)
-            ]
-        )
+        return self._packet_latencies(app_id, measured=True)
 
     def message_latencies(self) -> np.ndarray:
         """End-to-end (create to deliver) message latencies in delivery order, ns."""
-        return np.array([deliver - create for create, deliver, _ in self._deliveries])
+        _, create, deliver, _ = self._messages
+        return _column(deliver) - _column(create)
 
     def measurement_message_latencies(self) -> np.ndarray:
         """Latencies of messages *delivered inside the measurement window* (ns)."""
-        return np.array(
-            [
-                deliver - create
-                for create, deliver, _ in self._deliveries
-                if self.in_measurement(deliver)
-            ]
-        )
+        _, create, deliver, _ = self._messages
+        delivered = _column(deliver)
+        return (delivered - _column(create))[self._window_mask(delivered)]
 
     @property
     def measurement_elapsed_ns(self) -> float:

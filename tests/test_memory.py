@@ -1,5 +1,6 @@
-"""Memory guards: what one more rank costs at flow fidelity, and what one
-more router port costs at packet fidelity.
+"""Memory guards: what one more rank costs at flow fidelity, what one more
+router port costs at packet fidelity, and what one more recorded packet and
+message cost the statistics collector.
 
 Past the packet model's 1,056 nodes a run's memory is per-rank and
 per-message bookkeeping (MPI requests and waits, envelopes, flows and the
@@ -12,6 +13,11 @@ A packet network's memory before any traffic is its per-port state (input
 FIFOs, credit trackers, links), so the packet guard measures the difference
 in tracemalloc peak between building a 17x8x4 and the paper's 33x8x4
 network, per router port.
+
+Once traffic flows, the largest term that grows with it is the collector's
+per-packet and per-message records, so the record guard measures the
+tracemalloc bytes still held after feeding 2,000 and 20,000 packet+message
+pairs through the collector's recording hooks, per pair.
 """
 
 import gc
@@ -19,11 +25,13 @@ import tracemalloc
 
 import pytest
 
-from repro.config import SimulationConfig, SystemConfig, paper_system
+from repro.config import SimulationConfig, SystemConfig, paper_system, tiny_system
 from repro.core.engine import Simulator
 from repro.experiments.configs import AppSpec
 from repro.experiments.scenario import Scenario
 from repro.network.network import DragonflyNetwork
+from repro.network.packet import Message, Packet
+from repro.stats.collector import StatsCollector
 
 #: Measured on CPython 3.11 (x86-64): 4,785 B/rank with a closure per wait,
 #: a dict per flow link and a dict payload per message; 2,787 B/rank with a
@@ -31,7 +39,8 @@ from repro.network.network import DragonflyNetwork
 #: message; 2,311 B/rank once mailbox queues and nested-iteration lists are
 #: made on first use, eager completions carry no bound method, terminal
 #: links sit in per-node lists, a flow link is its own flow list and the
-#: application record keeps one byte total and one start time.  The bound
+#: application record keeps one byte total and one start time; 2,253 B/rank
+#: once a rank's context also holds its program's execution state.  The bound
 #: sits above 2,787 because CPython 3.10, also tested but not measured,
 #: keeps each suspended generator's frame in a separate, larger object.
 MAX_BYTES_PER_RANK = 3_000
@@ -92,3 +101,40 @@ def test_packet_network_bytes_per_router_port_stay_bounded():
     paper, paper_ports = _network_peak(paper_system())
     per_port = (paper - small) / (paper_ports - small_ports)
     assert 0 < per_port <= MAX_BYTES_PER_ROUTER_PORT, f"{per_port:.0f} B per router port"
+
+
+#: Measured on CPython 3.11 (x86-64): 298 B per packet+message with a
+#: frozen-dataclass record per packet and a tuple per message listed twice
+#: (each holding its own time floats); 67 B with typed columns (36 B of
+#: packet fields, 28 B of message fields, the rest the arrays' growth
+#: headroom).  The bound sits between.
+MAX_BYTES_PER_RECORD = 96
+
+
+def _retained_by_records(count: int) -> int:
+    """Tracemalloc bytes held after recording ``count`` packets and messages."""
+    message = Message(0, 1, 4096)
+    packet = Packet(message, 0, 4096, flit_size=64)
+    packet.hop_count = 3
+    stats = StatsCollector(Simulator(), SimulationConfig(system=tiny_system()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            packet.inject_time = float(i)
+            packet.eject_time = i + 500.0
+            message.create_time = float(i)
+            stats.record_packet_ejected(None, packet)
+            stats.record_message_delivered(message)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_packet_and_message_records_bytes_stay_bounded():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    _retained_by_records(100)
+    per_record = (_retained_by_records(20_000) - _retained_by_records(2_000)) / 18_000
+    assert 0 < per_record <= MAX_BYTES_PER_RECORD, f"{per_record:.0f} B per packet+message"

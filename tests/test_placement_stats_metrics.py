@@ -10,7 +10,7 @@ from repro.metrics.interference import InterferenceSummary, interference_summary
 from repro.metrics.latency import LatencySummary
 from repro.network.buffers import CreditTracker
 from repro.network.link import Link, LinkKind
-from repro.network.packet import Message
+from repro.network.packet import Message, Packet
 from repro.placement import ContiguousPlacement, NodeAllocator, RandomPlacement, create_placement
 from repro.stats.appstats import ApplicationRecord
 from repro.stats.collector import StatsCollector
@@ -254,13 +254,12 @@ def test_interference_summary_percentages():
 def test_latency_summary_percentiles_ordering():
     config = SimulationConfig(system=tiny_system())
     collector = StatsCollector(Simulator(), config)
-    from repro.stats.collector import PacketRecord
-
+    message = Message(0, 1, 512)
     rng = np.random.default_rng(0)
     for latency in rng.exponential(1000.0, size=500):
-        collector.packet_records.append(
-            PacketRecord(0, 0, 1, 512, 0.0, float(latency), hops=3)
-        )
+        packet = Packet(message, 0, 512, flit_size=64)
+        packet.inject_time, packet.eject_time, packet.hop_count = 0.0, float(latency), 3
+        collector.record_packet_ejected(None, packet)
     from repro.metrics.latency import latency_summary
 
     summary = latency_summary(collector)
