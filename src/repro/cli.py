@@ -25,6 +25,12 @@ The paper's tables are a sweep plus a report, e.g. ``dragonfly-sim sweep
 ``--seed``/``--scale`` are accepted both before and after the subcommand,
 and ``run``/``sweep`` accept ``--dump-scenario PATH`` to capture the
 invocation as a reusable scenario JSON file instead of simulating.
+
+Exit status: 0 when the command did what it was asked; 1 when a ``sweep``
+cell failed (the other cells' rows still print); 2 on bad input — an
+unknown scenario or option value, an unreadable file or store, an
+unwritable output path — reported as one ``error: ...`` line on stderr
+before anything is simulated where the input allows it.
 """
 
 from __future__ import annotations
@@ -34,11 +40,13 @@ import fnmatch
 import os
 import sqlite3
 import sys
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.reports import OUTPUT_FORMATS, format_table
 from repro.experiments.axes import AXES, AXIS, Axis
+from repro.experiments.runner import RunResult
 from repro.experiments.scenario import (
     Scenario,
     dump_scenarios,
@@ -50,10 +58,6 @@ from repro.experiments.scenario import (
 from repro.results import DEFAULT_STORE_PATH, ResultStore
 
 __all__ = ["build_parser", "main"]
-
-
-def _dump_path(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "dump_scenario", None)
 
 
 def _option(axis: Axis) -> Optional[str]:
@@ -79,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     # to every subparser, so "dragonfly-sim run table1/UR --seed 3" and
     # "dragonfly-sim --seed 3 run table1/UR" both work.  Defaults are
     # SUPPRESS so a subparser's (unset) copy never clobbers a value parsed
-    # earlier; readers test hasattr() or go through _dump_path().
+    # earlier; readers test hasattr() or getattr() with a default.
     common = argparse.ArgumentParser(add_help=False)
     _add_axis_options(common, _SHARED_AXES, "the", default=argparse.SUPPRESS)
     capture = argparse.ArgumentParser(add_help=False)
@@ -100,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common, capture],
         help="parallel scenario grid (routing x placement x seed)",
     )
+    sweep.set_defaults(handler=_run_sweep)
     sweep.add_argument(
         "--scenario", nargs="+", required=True, metavar="REF",
         help="base scenario(s) to sweep across the grid axes: library names, "
@@ -120,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort the sweep on the first failing cell instead of finishing "
              "the rest of the grid and summarizing failures at the end",
     )
-    sweep.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="worker processes (default: all cores)",
-    )
+    sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="worker processes (default: all cores)")
     sweep.add_argument(
         "--store", default=None, metavar="PATH",
         help=f"SQLite result store used as the sweep cache (default "
@@ -134,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[common, capture],
         help="run a scenario by library name or from a JSON file",
     )
+    run.set_defaults(handler=_run_run)
     run.add_argument(
         "scenario",
         help="scenario name (see 'dragonfly-sim scenarios'), a glob over the "
@@ -155,27 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
         "record", parents=[common],
         help="run a scenario and dump each job's rank program as a trace file",
     )
+    trace_record.set_defaults(handler=_run_trace_record)
     trace_record.add_argument(
         "scenario",
         help="scenario name (see 'dragonfly-sim scenarios') or path to a "
              "scenario JSON file describing a single scenario",
     )
-    trace_record.add_argument(
-        "--output", "-o", default="traces", metavar="DIR",
-        help="directory for the .trace.jsonl files (default: traces/)",
-    )
-    trace_record.add_argument(
-        "--job", default=None, metavar="NAME",
-        help="only write the trace of this job (default: every job)",
-    )
+    trace_record.add_argument("--output", "-o", default="traces", metavar="DIR",
+                              help="directory for the .trace.jsonl files (default: traces/)")
+    trace_record.add_argument("--job", default=None, metavar="NAME",
+                              help="only write the trace of this job (default: every job)")
     _add_axis_options(trace_record, _TRACE_AXES, "record under this")
     trace_replay = trace_sub.add_parser(
         "replay", parents=[common],
         help="re-execute a recorded trace file as a 'trace' job",
     )
-    trace_replay.add_argument(
-        "trace", help="trace file (.trace.jsonl) written by 'trace record'"
-    )
+    trace_replay.set_defaults(handler=_run_trace_replay)
+    trace_replay.add_argument("trace", help="trace file (.trace.jsonl) written by 'trace record'")
     _add_axis_options(trace_replay, _TRACE_AXES, "replay under this")
     trace_replay.add_argument(
         "--name", default=None, metavar="SCENARIO",
@@ -191,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", parents=[common],
         help="render a report from a populated result store (no simulation)",
     )
+    report.set_defaults(handler=_run_report)
     report.add_argument(
         "name",
         help="report name: table1, table2, mixed, "
@@ -198,43 +199,69 @@ def build_parser() -> argparse.ArgumentParser:
              "loadcurve/<pattern> (latency vs offered load, per routing), "
              "ml/<pattern>, or trace/<name>",
     )
-    report.add_argument(
-        "--store", default=str(DEFAULT_STORE_PATH), metavar="PATH",
-        help=f"result store to read (default {DEFAULT_STORE_PATH})",
-    )
-    report.add_argument(
-        "--format", dest="fmt", choices=list(OUTPUT_FORMATS), default="table",
-        help="output format (default: aligned plain-text table)",
-    )
+    report.add_argument("--store", default=str(DEFAULT_STORE_PATH), metavar="PATH",
+                        help=f"result store to read (default {DEFAULT_STORE_PATH})")
+    report.add_argument("--format", dest="fmt", choices=list(OUTPUT_FORMATS), default="table",
+                        help="output format (default: aligned plain-text table)")
     _add_axis_options(
         report, [a.name for a in AXES if a.flag and a.name not in _SHARED_AXES],
         "only consider runs with this",
     )
-    report.add_argument(
-        "--output", "-o", default=None, metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
+    report.add_argument("--output", "-o", default=None, metavar="FILE",
+                        help="write the report to FILE instead of stdout")
 
-    scenarios = sub.add_parser(
-        "scenarios", help="list the built-in scenario library (or describe one)"
-    )
-    scenarios.add_argument(
-        "name", nargs="?", default=None,
-        help="print this scenario's JSON description instead of the list",
-    )
+    scenarios = sub.add_parser("scenarios",
+                               help="list the built-in scenario library (or describe one)")
+    scenarios.set_defaults(handler=_run_scenarios)
+    scenarios.add_argument("name", nargs="?", default=None,
+                           help="print this scenario's JSON description instead of the list")
     return parser
 
 
-def _resolve_scenarios(refs: Sequence[str]) -> Optional[List[Scenario]]:
-    """Scenarios behind ``refs``: JSON file paths, library names or library globs.
+class _InputError(Exception):
+    """Bad input: ``main`` prints ``error: <message>`` and exits 2."""
+
+
+@contextmanager
+def _bad_input(
+    prefix: str = "", suffix: str = "",
+    errors: Tuple[Type[Exception], ...] = (ValueError, OSError, sqlite3.DatabaseError),
+) -> Iterator[None]:
+    """Re-raise ``errors`` from the block as ``_InputError(prefix + message + suffix)``.
+
+    Wrap only the input boundary (parsing, files, stores), never a
+    simulation: a defect there must keep its traceback.
+    """
+    try:
+        yield
+    except errors as exc:
+        raise _InputError(f"{prefix}{exc}{suffix}") from exc
+
+
+@contextmanager
+def _store(path: str, access: str) -> Iterator[ResultStore]:
+    """The result store at ``path``, open for the block; failing to open it, or
+    a database error inside the block, is bad input naming the file."""
+    prefix = f"{path!r} is not a {access} result store: "
+    with _bad_input(prefix, errors=(sqlite3.DatabaseError, OSError)):
+        store = ResultStore(path)
+    with store, _bad_input(prefix, errors=(sqlite3.DatabaseError,)):
+        yield store
+
+
+def _resolve_scenarios(
+    refs: Sequence[str], overrides: Optional[dict] = None
+) -> List[Scenario]:
+    """Scenarios behind ``refs`` (JSON file paths, library names or library
+    globs), with ``{axis: value}`` ``overrides`` applied.
 
     A glob (``'table1/*'``) expands to every matching library name, in
-    sorted order.  Prints the error and returns ``None`` when a reference
-    does not resolve (an unknown name, a glob matching nothing, an invalid
-    scenario file).
+    sorted order.  A reference that does not resolve (an unknown name, a
+    glob matching nothing, an invalid scenario file) or a rejected override
+    value is bad input.
     """
     scenarios: List[Scenario] = []
-    try:
+    with _bad_input():
         for ref in refs:
             if ref.endswith(".json") or Path(ref).is_file():
                 scenarios.extend(load_scenarios(ref))
@@ -248,10 +275,8 @@ def _resolve_scenarios(refs: Sequence[str]) -> Optional[List[Scenario]]:
                 scenarios.extend(get_scenario(name) for name in matched)
             else:
                 scenarios.append(get_scenario(ref))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    return scenarios
+        keywords = {AXIS[name].keyword: value for name, value in (overrides or {}).items()}
+        return [s.with_updates(**keywords) for s in scenarios] if keywords else scenarios
 
 
 #: Axes whose one-value option every subcommand shares (``--seed 3 run
@@ -279,32 +304,21 @@ def _given(args: argparse.Namespace) -> dict:
     return given
 
 
-def _with_overrides(scenarios: List[Scenario], overrides: dict) -> Optional[List[Scenario]]:
-    """``scenarios`` with ``overrides`` applied (``Scenario.with_updates``), or
-    ``None`` after printing why a value was rejected."""
-    if not overrides:
-        return scenarios
-    try:
-        keywords = {AXIS[name].keyword: value for name, value in overrides.items()}
-        return [scenario.with_updates(**keywords) for scenario in scenarios]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _dump_and_report(path: str, scenarios: List[Scenario]) -> int:
-    dump_scenarios(path, scenarios)
+def _dumped(args: argparse.Namespace, scenarios: List[Scenario]) -> bool:
+    """Write ``scenarios`` to ``--dump-scenario``'s path, if given; whether it was."""
+    path = getattr(args, "dump_scenario", None)  # SUPPRESS: absent when unset
+    if path is None:
+        return False
+    with _bad_input(f"cannot write {path!r}: "):
+        dump_scenarios(path, scenarios)
     label = scenarios[0].name if len(scenarios) == 1 else f"{len(scenarios)} scenarios"
     print(f"wrote {label} to {path} (replay with: dragonfly-sim run {path})")
-    return 0
+    return True
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import SweepError, SweepResult, run_sweep
 
-    bases = _resolve_scenarios(args.scenario)
-    if bases is None:
-        return 2
     # One value of a grid axis (--seed) is a one-cell axis: only the axes
     # the user passed are expanded, everything else keeps the base value.
     overrides = _given(args)
@@ -313,20 +327,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
         if axis.grid and axis.sweep:
             one = overrides.pop(axis.name, None)
             axes[axis.grid] = getattr(args, axis.grid) or (None if one is None else [one])
-    bases = _with_overrides(bases, overrides)
-    if bases is None:
-        return 2
-    try:
+    bases = _resolve_scenarios(args.scenario, overrides)
+    with _bad_input():
         grid = expand_grid(bases, **axes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    columns = ["scenario", "jobs", "routing", "placement", "seed",
-               "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
-
-    dump = _dump_path(args)
-    if dump:
-        return _dump_and_report(dump, grid)
+    if _dumped(args, grid):
+        return 0
 
     def progress(done: int, total: int, result: SweepResult) -> None:
         origin = "cache" if result.cached else f"{result.wall_seconds:.1f}s"
@@ -335,21 +340,16 @@ def _run_sweep(args: argparse.Namespace) -> int:
     # --store '' disables caching outright; an unset --store falls back to
     # the default store.
     store = None if args.store == "" else (args.store or str(DEFAULT_STORE_PATH))
+    columns = ["scenario", "jobs", "routing", "placement", "seed",
+               "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
     try:
-        results = run_sweep(
-            grid,
-            workers=args.workers,
-            store=store,
-            progress=progress,
-            fail_fast=args.fail_fast,
-        )
-    except sqlite3.DatabaseError as exc:
-        print(
-            f"error: result store {store!r} is unreadable ({exc}); delete the "
-            "file to start a fresh cache, or pass --store '' to sweep uncached",
-            file=sys.stderr,
-        )
-        return 2
+        with _bad_input(
+            f"result store {store!r} is unreadable (",
+            "); delete the file to start a fresh cache, or pass --store '' to sweep uncached",
+            errors=(sqlite3.DatabaseError,),
+        ):
+            results = run_sweep(grid, workers=args.workers, store=store,
+                                progress=progress, fail_fast=args.fail_fast)
     except SweepError as exc:
         # Failed cells abort nothing: the completed rows still print (failed
         # ones carry an `error` column), the failure summary goes to stderr,
@@ -361,57 +361,54 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_run(args: argparse.Namespace) -> int:
-    scenarios = _resolve_scenarios([args.scenario])
-    if scenarios is not None:
-        scenarios = _with_overrides(scenarios, _given(args))
-    if scenarios is None:
-        return 2
-    dump = _dump_path(args)
-    if dump:
-        return _dump_and_report(dump, scenarios)
-    try:
-        store = ResultStore(args.store) if args.store else None
-    except sqlite3.DatabaseError as exc:
-        print(f"error: {args.store!r} is not a writable result store: {exc}", file=sys.stderr)
-        return 2
+def _run_and_record(
+    scenarios: List[Scenario], store_path: Optional[str]
+) -> Iterator[Tuple[Scenario, RunResult]]:
+    """Run each of ``scenarios`` and record it into the store at ``store_path``;
+    yields each run as it finishes, so only one result is alive at a time.
+
+    A store that does not open is bad input, found before anything runs; a
+    write that fails is a warning, after which recording stops but the runs
+    go on, so their results still print.
+    """
     recorded = 0
-    try:
-        rows = []
+    with ExitStack() as stack:
+        store = stack.enter_context(_store(store_path, "writable")) if store_path else None
         for scenario in scenarios:
             result = scenario.run()
             if store is not None:
                 try:
                     recorded += bool(store.record_run(scenario, result))
                 except sqlite3.DatabaseError as exc:
-                    # e.g. a foreign DB whose table layout clashes with ours:
-                    # surface it without losing the simulated results below.
-                    print(
-                        f"warning: could not record into {args.store!r}: {exc}",
-                        file=sys.stderr,
-                    )
-                    store.close()
+                    # e.g. a foreign DB whose table layout clashes with ours.
+                    print(f"warning: could not record into {store_path!r}: {exc}",
+                          file=sys.stderr)
                     store = None
-            comm = [float(job.record.mean_comm_time) for job in result.jobs.values()]
-            rows.append(
-                {
-                    "scenario": scenario.name,
-                    "jobs": "+".join(spec.name for spec in scenario.jobs),
-                    "routing": scenario.config.routing.algorithm,
-                    "placement": scenario.placement,
-                    "seed": scenario.config.seed,
-                    "fidelity": result.fidelity,
-                    "makespan_ns": result.makespan_ns,
-                    "mean_comm_time_ns": sum(comm) / len(comm),
-                }
-            )
-    finally:
-        if store is not None:
-            store.close()
-    if args.store:
+            yield scenario, result
+    if store_path:
         already = len(scenarios) - recorded
-        note = f" ({already} already stored; any missing metrics were backfilled)" if already else ""
-        print(f"recorded {recorded} new run(s) into {args.store}{note}", file=sys.stderr)
+        note = (f" ({already} already stored; any missing metrics were backfilled)"
+                if already else "")
+        print(f"recorded {recorded} new run(s) into {store_path}{note}", file=sys.stderr)
+
+
+def _run_run(args: argparse.Namespace) -> int:
+    scenarios = _resolve_scenarios([args.scenario], _given(args))
+    if _dumped(args, scenarios):
+        return 0
+    rows = []
+    for scenario, result in _run_and_record(scenarios, args.store):
+        comm = [float(job.record.mean_comm_time) for job in result.jobs.values()]
+        rows.append({
+            "scenario": scenario.name,
+            "jobs": "+".join(spec.name for spec in scenario.jobs),
+            "routing": scenario.config.routing.algorithm,
+            "placement": scenario.placement,
+            "seed": scenario.config.seed,
+            "fidelity": result.fidelity,
+            "makespan_ns": result.makespan_ns,
+            "mean_comm_time_ns": sum(comm) / len(comm),
+        })
     print(format_table(rows))
     return 0
 
@@ -419,34 +416,24 @@ def _run_run(args: argparse.Namespace) -> int:
 def _run_trace_record(args: argparse.Namespace) -> int:
     from repro.traces import record_scenario, trace_hash
 
-    scenarios = _resolve_scenarios([args.scenario])
-    if scenarios is None:
-        return 2
+    scenarios = _resolve_scenarios([args.scenario], _given(args))
     if len(scenarios) != 1:
-        print(
-            f"error: {args.scenario!r} describes {len(scenarios)} scenarios; "
-            "'trace record' records one at a time",
-            file=sys.stderr,
+        raise _InputError(
+            f"{args.scenario!r} describes {len(scenarios)} scenarios; "
+            "'trace record' records one at a time"
         )
-        return 2
-    scenarios = _with_overrides(scenarios, _given(args))
-    if scenarios is None:
-        return 2
-    scenario = scenarios[0]
-    _, traces = record_scenario(scenario)
-    if args.job is not None:
-        if args.job not in traces:
-            print(
-                f"error: scenario {scenario.name!r} has no job {args.job!r}; "
-                f"its jobs are {sorted(traces)}",
-                file=sys.stderr,
-            )
-            return 2
-        traces = {args.job: traces[args.job]}
+    (scenario,) = scenarios
+    jobs = sorted(spec.name for spec in scenario.jobs)
+    if args.job is not None and args.job not in jobs:
+        raise _InputError(
+            f"scenario {scenario.name!r} has no job {args.job!r}; its jobs are {jobs}"
+        )
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _bad_input(f"cannot write traces to {args.output!r}: "):
+        outdir.mkdir(parents=True, exist_ok=True)
+    _, traces = record_scenario(scenario)
     stem = scenario.name.replace("/", "-")
-    for job_name in sorted(traces):
+    for job_name in [args.job] if args.job is not None else jobs:
         trace = traces[job_name]
         path = outdir / f"{stem}.{job_name}.trace.jsonl"
         trace.dump(path)
@@ -461,75 +448,42 @@ def _run_trace_replay(args: argparse.Namespace) -> int:
     from repro.traces import replay_scenario
 
     if hasattr(args, "scale"):
-        print(
-            "error: --scale does not apply to trace replay (a trace fixes "
-            "every message size; re-record at the new scale instead)",
-            file=sys.stderr,
+        raise _InputError(
+            "--scale does not apply to trace replay (a trace fixes every "
+            "message size; re-record at the new scale instead)"
         )
-        return 2
-    try:
+    with _bad_input(f"cannot replay {args.trace!r}: "):  # TraceError is a ValueError
         scenario = replay_scenario(args.trace, name=args.name, **_given(args))
-    except (ValueError, OSError) as exc:  # TraceError is a ValueError
-        print(f"error: cannot replay {args.trace!r}: {exc}", file=sys.stderr)
-        return 2
-    result = scenario.run()
-    if args.store:
-        try:
-            with ResultStore(args.store) as store:
-                recorded = store.record_run(scenario, result)
-        except sqlite3.DatabaseError as exc:
-            print(f"error: {args.store!r} is not a writable result store: {exc}", file=sys.stderr)
-            return 2
-        note = "" if recorded else " (already stored; any missing metrics were backfilled)"
-        print(f"recorded {scenario.name} into {args.store}{note}", file=sys.stderr)
+    ((scenario, result),) = _run_and_record([scenario], args.store)
     record = result.record("trace")
-    print(
-        format_table(
-            [
-                {
-                    "scenario": scenario.name,
-                    "routing": scenario.config.routing.algorithm,
-                    "placement": scenario.placement,
-                    "seed": scenario.config.seed,
-                    "makespan_ns": result.makespan_ns,
-                    "comm_time_ns": float(record.mean_comm_time),
-                    "total_msg_bytes": float(record.total_bytes_sent),
-                }
-            ]
-        )
-    )
+    print(format_table([{
+        "scenario": scenario.name,
+        "routing": scenario.config.routing.algorithm,
+        "placement": scenario.placement,
+        "seed": scenario.config.seed,
+        "makespan_ns": result.makespan_ns,
+        "comm_time_ns": float(record.mean_comm_time),
+        "total_msg_bytes": float(record.total_bytes_sent),
+    }]))
     return 0
 
 
 def _run_report(args: argparse.Namespace) -> int:
     from repro.analysis.reports import build_report
 
-    path = Path(args.store)
-    if not path.is_file():
-        print(
-            f"error: result store {args.store!r} does not exist; populate one with "
+    if not Path(args.store).is_file():
+        raise _InputError(
+            f"result store {args.store!r} does not exist; populate one with "
             f"'dragonfly-sim sweep --store {args.store}' or "
-            f"'dragonfly-sim run <scenario> --store {args.store}'",
-            file=sys.stderr,
+            f"'dragonfly-sim run <scenario> --store {args.store}'"
         )
-        return 2
-    try:
-        with ResultStore(path) as store:
-            text = build_report(store, args.name, fmt=args.fmt, **_given(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except sqlite3.DatabaseError as exc:
-        print(f"error: {args.store!r} is not a readable result store: {exc}", file=sys.stderr)
-        return 2
+    with _store(args.store, "readable") as store, _bad_input(errors=(ValueError,)):
+        text = build_report(store, args.name, fmt=args.fmt, **_given(args))
     if args.output:
         target = Path(args.output)
-        try:
+        with _bad_input(f"cannot write {args.output!r}: "):
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
-            return 2
         print(f"wrote {args.name} report to {args.output}")
     else:
         print(text)
@@ -538,40 +492,32 @@ def _run_report(args: argparse.Namespace) -> int:
 
 def _run_scenarios(args: argparse.Namespace) -> int:
     if args.name:
-        print(get_scenario(args.name).to_json())
+        with _bad_input():
+            scenario = get_scenario(args.name)
+        print(scenario.to_json())
         return 0
     rows = []
     for name in scenario_names():
         scenario = get_scenario(name)
-        rows.append(
-            {
-                "name": name,
-                "jobs": "+".join(spec.name for spec in scenario.jobs),
-                "routing": scenario.config.routing.algorithm,
-                "placement": scenario.placement,
-                "nodes": scenario.config.system.num_nodes,
-            }
-        )
+        rows.append({
+            "name": name,
+            "jobs": "+".join(spec.name for spec in scenario.jobs),
+            "routing": scenario.config.routing.algorithm,
+            "placement": scenario.placement,
+            "nodes": scenario.config.system.num_nodes,
+        })
     print(format_table(rows, ["name", "jobs", "routing", "placement", "nodes"]))
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: 0 ok, 1 a failed sweep cell, 2 bad input."""
     args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return _run_sweep(args)
-    if args.command == "run":
-        return _run_run(args)
-    if args.command == "trace":
-        if args.trace_command == "record":
-            return _run_trace_record(args)
-        return _run_trace_replay(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "scenarios":
-        return _run_scenarios(args)
-    raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
+    try:
+        return args.handler(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -50,13 +50,6 @@ class InterferenceSummary:
             return 0.0
         return self.interfered_std_ns / self.standalone_comm_ns
 
-    @property
-    def standalone_variation(self) -> float:
-        """Baseline variation (std/mean of the standalone run)."""
-        if self.standalone_comm_ns <= 0:
-            return 0.0
-        return self.standalone_std_ns / self.standalone_comm_ns
-
     def as_dict(self) -> dict:
         """Plain-dict view used by reports."""
         return {

@@ -211,10 +211,6 @@ class RankContext:
         """Blocking receive (irecv + wait), to be yielded by the program."""
         return WaitOp([self.irecv(src_rank, tag)])
 
-    def sendrecv(self, dst_rank: int, src_rank: int, size_bytes: int, tag: int = 0) -> WaitOp:
-        """Simultaneous blocking send and receive (common stencil idiom)."""
-        return WaitOp([self.isend(dst_rank, size_bytes, tag), self.irecv(src_rank, tag)])
-
     # ----------------------------------------------------------- collectives
     def next_collective_tag(self) -> int:
         """Reserve a unique (negative) tag block for one collective round."""
@@ -240,10 +236,6 @@ class RankContext:
     def allgather(self, size_per_rank: int, group: Optional[Sequence[int]] = None) -> Iterator[WaitOp]:
         """Ring allgather."""
         return _collectives.ring_allgather(self, size_per_rank, group=group)
-
-    def reduce_scatter(self, size_bytes: int, group: Optional[Sequence[int]] = None) -> Iterator[WaitOp]:
-        """Ring reduce-scatter (``yield from`` this inside a program)."""
-        return _collectives.ring_reduce_scatter(self, size_bytes, group=group)
 
     def ring_allreduce(self, size_bytes: int, group: Optional[Sequence[int]] = None) -> Iterator[WaitOp]:
         """Bandwidth-optimal ring allreduce (reduce-scatter + allgather)."""

@@ -22,7 +22,7 @@ gets exactly one link.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import SystemConfig
 
@@ -409,12 +409,6 @@ class DragonflyTopology:
             else:
                 latency += self.config.global_latency_ns
         return latency
-
-    def all_links(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over every (router, port) pair that carries a router link."""
-        for router in range(self.num_routers):
-            for port in range(self._first_local_port, self._ports_per_router):
-                yield router, port
 
     # ------------------------------------------------------------ validation
     def _check_node(self, node: int) -> None:

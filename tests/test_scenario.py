@@ -746,6 +746,45 @@ def test_cli_glob_matching_nothing_exits_2_naming_the_library(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenarios", "bogus"],
+        ["run", "table1/UR", "--dump-scenario", "{tmp}/missing/x.json"],
+        ["sweep", "--scenario", "table1/UR", "--dump-scenario", "{tmp}/missing/x.json"],
+        ["trace", "record", "table1/UR", "--scale", "0.05", "-o", "{tmp}/file"],
+    ],
+    ids=["unknown-scenario", "run-dump-dir", "sweep-dump-dir", "trace-output-is-a-file"],
+)
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    """Bad input is one ``error:`` line and exit 2, never a traceback, and
+    ``trace record`` checks its output directory before it simulates."""
+    import repro.traces
+
+    def simulate(scenario):
+        raise AssertionError(f"simulated {scenario.name} before checking its output")
+
+    monkeypatch.setattr(repro.traces, "record_scenario", simulate)
+    (tmp_path / "file").write_text("not a directory\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+
+
+def test_cli_keeps_the_traceback_of_a_defect_inside_a_run(monkeypatch):
+    """Only input errors become exit 2: a ValueError raised while simulating
+    is a defect, and reaches the caller with its traceback."""
+
+    def broken(self):
+        raise ValueError("defect inside the simulator")
+
+    monkeypatch.setattr(Scenario, "run", broken)
+    with pytest.raises(ValueError, match="defect inside the simulator"):
+        main(["run", "table1/UR", "--scale", "0.05"])
+
+
 def test_cli_trace_record_refuses_a_family(tmp_path, capsys):
     assert main(["trace", "record", "table1/*", "-o", str(tmp_path)]) == 2
     assert "records one at a time" in capsys.readouterr().err
