@@ -338,16 +338,21 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(f"[{done}/{total}] {result.scenario.name} ({origin})", file=sys.stderr)
 
     # --store '' disables caching outright; an unset --store falls back to
-    # the default store.
-    store = None if args.store == "" else (args.store or str(DEFAULT_STORE_PATH))
+    # the default store.  The store is opened (and closed) here, so a path
+    # that cannot hold one is bad input before any cell runs.
+    path = None if args.store == "" else (args.store or str(DEFAULT_STORE_PATH))
     columns = ["scenario", "jobs", "routing", "placement", "seed",
                "makespan_ns", "mean_comm_time_ns", "total_port_stall_ns", "cached"]
     try:
-        with _bad_input(
-            f"result store {store!r} is unreadable (",
+        with ExitStack() as stack, _bad_input(
+            f"result store {path!r} is unreadable (",
             "); delete the file to start a fresh cache, or pass --store '' to sweep uncached",
             errors=(sqlite3.DatabaseError,),
         ):
+            store = None
+            if path is not None:
+                with _bad_input(f"cannot open result store {path!r}: ", errors=(OSError,)):
+                    store = stack.enter_context(ResultStore(path))
             results = run_sweep(grid, workers=args.workers, store=store,
                                 progress=progress, fail_fast=args.fail_fast)
     except SweepError as exc:

@@ -1,11 +1,11 @@
 """Credit bookkeeping.
 
 Routers are input-queued: each input port owns one FIFO per virtual channel
-(VC), a list held by the router itself (``Router.queues``).  Credit-based flow
-control mirrors those buffers on the *downstream* side of every link: the
-upstream entity holds a credit counter per (output port, VC) initialized to
-the downstream buffer depth, decrements it when it forwards a packet and
-increments it when the downstream entity frees the slot.
+(VC), a list the router itself makes on its first packet (``Router.queues``).
+Credit-based flow control mirrors those buffers on the *downstream* side of
+every link: the upstream entity holds a credit counter per (output port, VC)
+initialized to the downstream buffer depth, decrements it when it forwards a
+packet and increments it when the downstream entity frees the slot.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ congestion anywhere along the path) instead of local queue occupancy only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from array import array
+from typing import TYPE_CHECKING, Callable, Dict, List, MutableSequence, Tuple
 
 import numpy as np
 
@@ -78,12 +79,14 @@ class QAdaptiveRouting(RoutingAlgorithm):
             self._tables[router.router_id] = table
         return table
 
-    def _row_factory(self, router: "Router") -> Callable[[DestKey], List[float]]:
+    def _row_factory(self, router: "Router") -> Callable[[DestKey], MutableSequence[float]]:
         """Optimistic zero-load initial rows for a router's table.
 
         Remaining time ≈ hop over the port + minimal remainder from the
         neighbour, assuming an uncongested network.  The per-port facts (hop
         latency, next router, next group) are computed once per router.
+        Each row is an ``array("d")``: 8 B per port where a list holds a
+        24 B float object per port, and the same float64 values.
         """
         topo = self.topology
         config = self.network.config.system
@@ -102,9 +105,9 @@ class QAdaptiveRouting(RoutingAlgorithm):
             next_group = -1 if neighbor.is_node else topo.group_of_router(next_router)
             facts.append((topo.link_latency(port) + serialization, next_router, next_group))
 
-        def new_row(dest: DestKey) -> List[float]:
+        def new_row(dest: DestKey) -> MutableSequence[float]:
             level, target = dest
-            row = []
+            row = array("d")
             for hop, next_router, next_group in facts:
                 if next_router < 0:
                     row.append(hop)
@@ -248,7 +251,9 @@ class QAdaptiveRouting(RoutingAlgorithm):
             _FEEDBACK,
         )
 
-    def _apply_feedback(self, table: QTable, row: List[float], port: int, sample: float) -> None:
+    def _apply_feedback(
+        self, table: QTable, row: MutableSequence[float], port: int, sample: float
+    ) -> None:
         """Fold ``sample`` into ``row[port]`` of ``table`` (see :meth:`QTable.update`)."""
         rate = self._learning_rate
         row[port] = (1.0 - rate) * row[port] + rate * sample

@@ -6,17 +6,18 @@ nanoseconds) towards
 * every destination *group* (the inter-group level), and
 * every destination *router of the local group* (the intra-group level).
 
-Each destination key owns one *row*: a list indexed by output port.  Rows are
-created lazily and initialized with an optimistic zero-load estimate provided
-by the caller, so the very first packets follow minimal paths and exploration
-starts from a sensible prior — matching the paper's setup where Q-adaptive
-starts "without any pre-trained information".  A routing decision for one
-destination is then one dict lookup plus a loop over that row.
+Each destination key owns one *row*: a typed float64 array (``array("d")``)
+indexed by output port; this class takes any mutable float sequence.  Rows
+are created lazily and initialized with an optimistic zero-load estimate
+provided by the caller, so the very first packets follow minimal paths and
+exploration starts from a sensible prior — matching the paper's setup where
+Q-adaptive starts "without any pre-trained information".  A routing decision
+for one destination is then one dict lookup plus a loop over that row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, MutableSequence, Tuple
 
 __all__ = ["QTable"]
 
@@ -29,15 +30,17 @@ class QTable:
 
     __slots__ = ("router_id", "rows", "_new_row", "updates")
 
-    def __init__(self, router_id: int, new_row: Callable[[DestKey], List[float]]):
+    def __init__(
+        self, router_id: int, new_row: Callable[[DestKey], MutableSequence[float]]
+    ):
         self.router_id = router_id
         #: Destination key -> Q-value per output port.
-        self.rows: Dict[DestKey, List[float]] = {}
+        self.rows: Dict[DestKey, MutableSequence[float]] = {}
         self._new_row = new_row
         #: Number of learning updates applied (observability / tests).
         self.updates = 0
 
-    def row(self, dest: DestKey) -> List[float]:
+    def row(self, dest: DestKey) -> MutableSequence[float]:
         """The Q-values towards ``dest``, indexed by output port."""
         row = self.rows.get(dest)
         if row is None:

@@ -1,6 +1,6 @@
 """Memory guards: what one more rank costs at flow fidelity, what one more
-router port costs at packet fidelity, and what one more recorded packet and
-message cost the statistics collector.
+router port and one more Q-table row cost at packet fidelity, and what one
+more recorded packet and message cost the statistics collector.
 
 Past the packet model's 1,056 nodes a run's memory is per-rank and
 per-message bookkeeping (MPI requests and waits, envelopes, flows and the
@@ -14,7 +14,9 @@ node or rank) lands in a larger size class and shows in the difference.
 A packet network's memory before any traffic is its per-port state (input
 FIFOs, credit trackers, links), so the packet guard measures the difference
 in tracemalloc peak between building a 17x8x4 and the paper's 33x8x4
-network, per router port.
+network, per router port.  Under Q-adaptive routing each router's table
+then grows by one row per destination key it meets, so the Q-row guard
+measures the tracemalloc bytes one more row holds on the paper's system.
 
 Once traffic flows, the largest term that grows with it is the collector's
 per-packet and per-message records, so the record guard measures the
@@ -80,8 +82,10 @@ def test_flow_shift_bytes_per_rank_stay_bounded():
 
 #: Measured on CPython 3.11 (x86-64): 7,957 B/port with one deque per
 #: (port, VC) input FIFO and per output port's request queue (760 B each,
-#: empty); 1,621 B/port with lists (56 B empty).  The bound sits between.
-MAX_BYTES_PER_ROUTER_PORT = 3_000
+#: empty); 1,621 B/port with lists (56 B empty) made with the router;
+#: 1,173 B/port with each input FIFO made on its first packet.  The bound
+#: sits between the last two.
+MAX_BYTES_PER_ROUTER_PORT = 1_400
 
 
 def _network_peak(system: SystemConfig):
@@ -107,6 +111,38 @@ def test_packet_network_bytes_per_router_port_stay_bounded():
     paper, paper_ports = _network_peak(paper_system())
     per_port = (paper - small) / (paper_ports - small_ports)
     assert 0 < per_port <= MAX_BYTES_PER_ROUTER_PORT, f"{per_port:.0f} B per router port"
+
+
+#: Measured on CPython 3.11 (x86-64): 591 B per 15-port row as a list of
+#: float objects (24 B each) and 351 B as an ``array("d")``, the dict entry
+#: and the ``("g", g)`` key included.  The bound sits between.
+MAX_BYTES_PER_Q_ROW = 480
+
+
+def _retained_by_q_rows(network: DragonflyNetwork, router_id: int, count: int) -> int:
+    """Tracemalloc bytes held by ``count`` new rows of one router's Q-table."""
+    table = network.routing.table_for(network.routers[router_id])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for group in range(count):
+            table.row(("g", group))
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_qtable_bytes_per_row_stay_bounded():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    config = SimulationConfig(system=paper_system(), seed=11).with_routing("q-adaptive")
+    network = DragonflyNetwork(Simulator(), config)
+    _retained_by_q_rows(network, 0, 100)  # one-time allocations stay out of either probe
+    per_row = (
+        _retained_by_q_rows(network, 2, 6_000) - _retained_by_q_rows(network, 1, 2_000)
+    ) / 4_000
+    assert 0 < per_row <= MAX_BYTES_PER_Q_ROW, f"{per_row:.0f} B per Q-table row"
 
 
 #: Measured on CPython 3.11 (x86-64): 298 B per packet+message with a

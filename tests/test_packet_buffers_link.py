@@ -337,6 +337,36 @@ def test_arbitration_skips_a_head_without_credit_and_moves_it_to_the_back():
     assert list(router.queues[2][0]) == [blocked]
 
 
+def test_fifos_are_made_on_first_packet(tiny_network):
+    """A (port, VC) that never receives keeps no FIFO; the buffered count
+    and ``quiescent`` read right over made, emptied and unmade FIFOs."""
+    sim, network = tiny_network
+    router = network.routers[0]
+    assert all(queue is None for port in router.queues for queue in port)
+    assert router.buffered_packets == 0 and network.quiescent()
+
+    first, second = _packets_to(network.topology, 0, 2)
+    out_port = network.topology.terminal_port_of_node_table[first.dst_node]
+    credits = router.credits[out_port]
+    while credits.has_credit(0):
+        credits.consume(0)  # both heads wait for the terminal credit
+    second.vc = 1
+    router.receive_packet(4, first)
+    router.receive_packet(5, second)
+    made = {(port, vc) for port, vcs in enumerate(router.queues)
+            for vc, queue in enumerate(vcs) if queue is not None}
+    assert made == {(4, 0), (5, 1)}
+    assert router.queues[4][0] == [first] and router.queues[5][1] == [second]
+    assert router.buffered_packets == 2 and not network.quiescent()
+
+    router.credit_returned(out_port, 0)  # the first head leaves
+    assert router.queues[4][0] == [] and router.buffered_packets == 1
+    assert not network.quiescent()
+    sim.run()  # the ejected packet's credit lets the second one leave
+    assert router.queues[5][1] == [] and router.queues[4][1] is None
+    assert router.buffered_packets == 0 and network.quiescent()
+
+
 def test_grant_without_credit_raises_underflow():
     sim, topology, router = _router()
     packet = _packets_to(topology, 0, 1)[0]

@@ -753,8 +753,10 @@ def test_cli_glob_matching_nothing_exits_2_naming_the_library(tmp_path, capsys):
         ["run", "table1/UR", "--dump-scenario", "{tmp}/missing/x.json"],
         ["sweep", "--scenario", "table1/UR", "--dump-scenario", "{tmp}/missing/x.json"],
         ["trace", "record", "table1/UR", "--scale", "0.05", "-o", "{tmp}/file"],
+        ["sweep", "--scenario", "table1/UR", "--scale", "0.05", "--store", "{tmp}/file/x.sqlite"],
     ],
-    ids=["unknown-scenario", "run-dump-dir", "sweep-dump-dir", "trace-output-is-a-file"],
+    ids=["unknown-scenario", "run-dump-dir", "sweep-dump-dir", "trace-output-is-a-file",
+         "sweep-store-under-a-file"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
     """Bad input is one ``error:`` line and exit 2, never a traceback, and
